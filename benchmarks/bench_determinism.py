@@ -10,7 +10,7 @@ overhead. The artifact lands in ``benchmarks/results/determinism.txt``.
 
 import time
 
-from repro.analysis.determinism import check_scheduler, hash_trace
+from repro.analysis.determinism import Cell, Double, hash_trace, run_checks
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import run_one
 
@@ -23,7 +23,9 @@ SCHEDULER = "Greedy"
 
 def _double_run_hash():
     t0 = time.perf_counter()
-    result = check_scheduler(SCHEDULER, spec=BIG_SPEC, invariants=False)
+    [result] = run_checks(
+        [Double(Cell(SCHEDULER), ("trace",))], spec=BIG_SPEC, invariants=False
+    )
     harness_s = time.perf_counter() - t0
 
     # Isolate the hashing component on one fresh trace.
@@ -31,7 +33,7 @@ def _double_run_hash():
     t0 = time.perf_counter()
     digest = hash_trace(trace)
     hash_s = time.perf_counter() - t0
-    assert digest == result.hash_a
+    assert digest == result.digests["trace"]
     return result, harness_s, hash_s
 
 
@@ -40,10 +42,11 @@ def test_determinism_harness_scale(benchmark, save_artifact):
         _double_run_hash, rounds=1, iterations=1
     )
 
-    assert result.deterministic, result.render()
-    assert result.n_records >= 10_000
+    assert result.ok, result.render()
+    n_records = result.counts["records"]
+    assert n_records >= 10_000
 
-    per_record_us = 1e6 * hash_s / result.n_records
+    per_record_us = 1e6 * hash_s / n_records
     lines = [
         f"determinism harness at scale ({SCHEDULER}, "
         f"{BIG_SPEC.n_batches} batches, ~{BIG_SPEC.mean_jobs_per_batch:.0f} "
@@ -54,7 +57,7 @@ def test_determinism_harness_scale(benchmark, save_artifact):
         f"double-run + hash harness : {harness_s:8.2f} s total",
         f"hash_trace alone          : {hash_s * 1e3:8.1f} ms "
         f"({per_record_us:.1f} us/record)",
-        f"trace hash                : {result.hash_a}",
+        f"trace hash                : {result.digests['trace']}",
     ]
     path = save_artifact("determinism.txt", "\n".join(lines))
     assert path.exists()

@@ -1,70 +1,70 @@
-"""Determinism harness: prove a seeded run reproduces bit-for-bit.
+"""Determinism harness: prove seeded runs reproduce bit-for-bit.
 
 The engine's FIFO tie-break and the seeded RNGs promise that a whole
-simulation is a pure function of ``(scheduler, spec)``. This module turns
-that promise into a checkable property: run the same seeded workload
-twice, hash every lifecycle timestamp in both :class:`RunTrace`\\ s, and
-compare. On mismatch, the report names the first divergent record and
-field — the event where the two runs first disagreed — rather than just
-"hashes differ".
+simulation is a pure function of its inputs. This module turns that
+promise into checkable contracts over named digests:
 
-The second run executes with the runtime invariant checker installed
-(:mod:`repro.analysis.invariants`), so ``repro check`` validates both
-properties of a scheduler at once: the run is internally consistent, and
-it is reproducible.
+* :func:`hash_trace` — SHA-256 over every lifecycle timestamp of a
+  :class:`RunTrace` (floats at full bit precision), and
+  :func:`first_divergence`, which names the first record and field where
+  two traces disagree instead of just "hashes differ".
+* :class:`Cell` — what one run attaches: a scheduler, spot churn with
+  billing (econ), a scaling policy, telemetry (obs), and — for a sharded
+  fleet — the executor that drives the shards. :func:`run_cell` makes
+  the run and returns its digests (``trace``, ``ledger``, ``audit``,
+  ``fleet``, ``registry``) plus the counts a report prints.
+* Two contract kinds over cells. :class:`Double` runs one cell twice and
+  requires every named digest to match. :class:`Same` requires two cells
+  to agree on the named digests: an observer or an idle policy must not
+  move anything, and neither may the executor.
 
-The econ pass extends the same contract to money: with cost accounting
-attached (spot market, finite bid, so the preemption path is exercised),
-two seeded runs must produce identical trace hashes *and* identical
-:class:`~repro.econ.penalties.CostLedger` hashes — a billing meter that
-cannot reproduce its invoice is as broken as a scheduler that cannot
-reproduce its timestamps.
+``repro check`` is a loop over :data:`CHECKS`, one row per contract.
+:func:`run_checks` caches each cell's first run, so a run two contracts
+need is made once; only a :class:`Double`'s second run is always fresh.
+Single-environment runs carry the runtime invariant checker
+(:mod:`repro.analysis.invariants`) unless ``invariants=False``, so a
+structurally broken run fails loudly instead of merely hashing
+differently.
 
 CLI::
 
-    repro check                 # paper schedulers + econ pass, default spec
-    repro check --scheduler Op  # just one
-    repro check --no-econ       # skip the econ/ledger pass
+    repro check                 # every row of the table
+    repro check --scheduler Op  # per-scheduler rows for Op only
+    repro check --no-fleet      # skip rows that run a fleet
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-if TYPE_CHECKING:
-    from ..policy.runtime import PolicyConfig
-
+from ..econ import EconConfig, SpotMarketConfig, attach_econ
 from ..experiments.config import DEFAULT_SPEC, ExperimentSpec
-from ..experiments.runner import PAPER_SCHEDULERS, build_workload, run_one
+from ..experiments.runner import PAPER_SCHEDULERS, run_one
+from ..obs import attach_obs
+from ..policy import ConvergerConfig, PolicyConfig, ScalingPolicy, attach_policy
 from ..sim.environment import CloudBurstEnvironment
 from ..sim.tracing import JobRecord, RunTrace
 from .invariants import install_invariants
 
 __all__ = [
     "Divergence",
-    "DeterminismResult",
     "hash_trace",
     "canonical_records",
     "first_divergence",
-    "check_scheduler",
-    "check_determinism",
     "ECON_SCHEDULERS",
-    "EconDeterminismResult",
-    "check_scheduler_econ",
-    "check_econ",
-    "FleetDeterminismResult",
-    "check_fleet",
-    "ExecutorParityResult",
-    "check_executor_parity",
-    "ObsParityResult",
-    "check_obs_parity",
-    "PolicyDeterminismResult",
-    "check_scheduler_policy",
-    "check_policy",
-    "PolicyIdleResult",
-    "check_policy_idle",
+    "Cell",
+    "CellRun",
+    "attach_cell",
+    "run_cell",
+    "Double",
+    "Same",
+    "Check",
+    "CheckResult",
+    "check_table",
+    "CHECKS",
+    "run_checks",
 ]
 
 #: JobRecord fields in declaration order — the canonical hashing schema.
@@ -164,423 +164,29 @@ def first_divergence(a: RunTrace, b: RunTrace) -> Optional[Divergence]:
     return None
 
 
-@dataclass(frozen=True)
-class DeterminismResult:
-    """Verdict for one scheduler: two seeded runs, two hashes, one answer."""
-
-    scheduler: str
-    hash_a: str
-    hash_b: str
-    n_records: int
-    divergence: Optional[Divergence] = None
-
-    @property
-    def deterministic(self) -> bool:
-        return self.hash_a == self.hash_b
-
-    def render(self) -> str:
-        if self.deterministic:
-            return (
-                f"{self.scheduler:>8}: OK  {self.n_records} records, "
-                f"hash {self.hash_a[:16]}"
-            )
-        detail = self.divergence.render() if self.divergence else "hashes differ"
-        return f"{self.scheduler:>8}: FAIL  {detail}"
-
-
-def check_scheduler(
-    scheduler_name: str,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-    invariants: bool = True,
-) -> DeterminismResult:
-    """Run ``scheduler_name`` twice on the identical seeded workload.
-
-    Both runs rebuild the environment from scratch (fresh engine, fresh
-    seeded RNGs) and replay the same pre-generated batch list — exactly
-    the reproducibility contract the comparison experiments rely on. With
-    ``invariants`` (the default), both runs also carry the runtime
-    invariant checker, so a structurally broken run fails loudly instead
-    of merely hashing differently.
-    """
-    batches = build_workload(spec)
-    hook = install_invariants if invariants else None
-    trace_a = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    trace_b = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    hash_a, hash_b = hash_trace(trace_a), hash_trace(trace_b)
-    divergence = None
-    if hash_a != hash_b:
-        divergence = first_divergence(trace_a, trace_b)
-    return DeterminismResult(
-        scheduler=scheduler_name,
-        hash_a=hash_a,
-        hash_b=hash_b,
-        n_records=len(trace_a.records),
-        divergence=divergence,
-    )
-
-
-def check_determinism(
-    schedulers: Sequence[str] = PAPER_SCHEDULERS,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-    invariants: bool = True,
-) -> list[DeterminismResult]:
-    """The ``repro check`` body: verdicts for each scheduler in turn."""
-    return [
-        check_scheduler(name, spec=spec, invariants=invariants)
-        for name in schedulers
-    ]
 
 
 # ----------------------------------------------------------------------
-# Econ pass: trace + ledger reproducibility with money attached
+# Cells: what one seeded run attaches
 # ----------------------------------------------------------------------
 
-#: Schedulers the econ pass double-runs: the paper's four plus the
-#: cost-aware variant the ledger actually steers.
+#: Schedulers the econ and policy rows double-run: the paper's four plus
+#: the cost-aware variant the ledger actually steers.
 ECON_SCHEDULERS = PAPER_SCHEDULERS + ("CostAware",)
 
+#: Spot market with a finite bid, so the preemption (kill-and-requeue)
+#: path is on the hashed path.
+SPOT_CHURN = EconConfig(
+    spot=SpotMarketConfig(bid_usd_per_hour=0.13, variation=0.4)
+)
 
-@dataclass(frozen=True)
-class EconDeterminismResult:
-    """Verdict for one scheduler with cost accounting attached."""
-
-    scheduler: str
-    hash_a: str
-    hash_b: str
-    ledger_hash_a: str
-    ledger_hash_b: str
-    n_records: int
-    preemptions: int
-    divergence: Optional[Divergence] = None
-
-    @property
-    def deterministic(self) -> bool:
-        return self.hash_a == self.hash_b and (
-            self.ledger_hash_a == self.ledger_hash_b
-        )
-
-    def render(self) -> str:
-        if self.deterministic:
-            return (
-                f"{self.scheduler:>8}: OK  {self.n_records} records, "
-                f"{self.preemptions} preemptions, "
-                f"ledger {self.ledger_hash_a[:16]}"
-            )
-        if self.hash_a != self.hash_b:
-            detail = (
-                self.divergence.render() if self.divergence else "hashes differ"
-            )
-        else:
-            detail = (
-                f"ledger hashes differ: {self.ledger_hash_a[:16]} vs "
-                f"{self.ledger_hash_b[:16]}"
-            )
-        return f"{self.scheduler:>8}: FAIL  {detail}"
-
-
-def _econ_hook() -> Callable[["CloudBurstEnvironment"], None]:
-    """Env hook arming invariants plus a preemption-exercising econ config."""
-    from ..econ import EconConfig, SpotMarketConfig, attach_econ
-
-    config = EconConfig(
-        spot=SpotMarketConfig(bid_usd_per_hour=0.13, variation=0.4)
-    )
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        install_invariants(env)
-        attach_econ(env, config)
-
-    return hook
-
-
-def check_scheduler_econ(
-    scheduler_name: str,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> EconDeterminismResult:
-    """Double-run one scheduler with billing, penalties, and spot
-    preemption armed; compare trace hashes and ledger hashes."""
-    batches = build_workload(spec)
-    hook = _econ_hook()
-    trace_a = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    trace_b = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    hash_a, hash_b = hash_trace(trace_a), hash_trace(trace_b)
-    econ_a, econ_b = trace_a.metadata["econ"], trace_b.metadata["econ"]
-    divergence = None
-    if hash_a != hash_b:
-        divergence = first_divergence(trace_a, trace_b)
-    return EconDeterminismResult(
-        scheduler=scheduler_name,
-        hash_a=hash_a,
-        hash_b=hash_b,
-        ledger_hash_a=econ_a["ledger_sha256"],
-        ledger_hash_b=econ_b["ledger_sha256"],
-        n_records=len(trace_a.records),
-        preemptions=econ_a["preemptions"],
-        divergence=divergence,
-    )
-
-
-def check_econ(
-    schedulers: Sequence[str] = ECON_SCHEDULERS,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> list[EconDeterminismResult]:
-    """The econ half of ``repro check``: ledger verdicts per scheduler."""
-    return [check_scheduler_econ(name, spec=spec) for name in schedulers]
-
-
-# ----------------------------------------------------------------------
-# Fleet pass: cross-shard merged-artifact reproducibility
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetDeterminismResult:
-    """Verdict for one sharded fleet: two runs, two fleet digests.
-
-    The fleet digest covers the per-shard trace hashes, the per-tenant
-    ledger hashes and the merged streaming counters (see
-    :func:`repro.fleet.aggregate.fleet_sha256`), so a single mismatched
-    shard or tenant ledger fails the whole pass — and the render names
-    the first shard whose trace diverged, when one did.
-    """
-
-    n_shards: int
-    seed: int
-    sha_a: str
-    sha_b: str
-    shard_hashes_a: tuple[str, ...]
-    shard_hashes_b: tuple[str, ...]
-    n_records: int
-    quota_rejected: int
-
-    @property
-    def deterministic(self) -> bool:
-        return self.sha_a == self.sha_b
-
-    def render(self) -> str:
-        label = f"fleet[{self.n_shards}]"
-        if self.deterministic:
-            return (
-                f"{label:>8}: OK  {self.n_records} records, "
-                f"{self.quota_rejected} quota refusals, "
-                f"fleet sha {self.sha_a[:16]}"
-            )
-        divergent = [
-            i
-            for i, (a, b) in enumerate(
-                zip(self.shard_hashes_a, self.shard_hashes_b)
-            )
-            if a != b
-        ]
-        if divergent:
-            detail = f"shard trace hash(es) differ at index {divergent}"
-        else:
-            detail = (
-                "shard traces agree; merged stats/ledger state diverged "
-                f"({self.sha_a[:16]} vs {self.sha_b[:16]})"
-            )
-        return f"{label:>8}: FAIL  {detail}"
-
-
-def check_fleet(
-    n_shards: int = 4,
-    n_jobs: int = 400,
-    seed: int = 2024,
-    scheduler: str = "Op",
-) -> FleetDeterminismResult:
-    """Double-run a small sharded fleet; compare the merged digests.
-
-    Exercises the whole multi-tenant stack: substream-seeded shard
-    environments, hash routing, per-class promise scaling, a tight quota
-    on one tenant (so the distinct ``"quota"`` refusal path is on the
-    hashed path), cross-shard stats/ledger merging, and the fleet
-    SHA-256 itself.
-    """
-    # Local import: repro.fleet builds on this module's hash_trace.
-    from ..fleet import (
-        BRONZE,
-        FleetConfig,
-        FleetLoadConfig,
-        FleetReport,
-        TenantRegistry,
-        TenantSpec,
-        default_registry,
-        run_fleet_load,
-    )
-
-    def one_run() -> FleetReport:
-        registry = TenantRegistry(list(default_registry(11)))
-        # A deliberately starved tenant: the quota refusal path must be
-        # part of what the digest certifies.
-        registry.register(
-            TenantSpec(tenant_id="starved-012", sla_class=BRONZE, quota_jobs=5)
-        )
-        result = run_fleet_load(
-            FleetConfig(n_shards=n_shards, seed=seed, scheduler=scheduler),
-            FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=seed),
-            registry=registry,
-        )
-        return result.report
-
-    report_a, report_b = one_run(), one_run()
-    return FleetDeterminismResult(
-        n_shards=n_shards,
-        seed=seed,
-        sha_a=report_a.sha256,
-        sha_b=report_b.sha256,
-        shard_hashes_a=tuple(report_a.shard_hashes),
-        shard_hashes_b=tuple(report_b.shard_hashes),
-        n_records=len(report_a.trace.records),
-        quota_rejected=report_a.quota_rejected,
-    )
-
-
-@dataclass(frozen=True)
-class ExecutorParityResult:
-    """Outcome of the executor-parity pass: same workload, two executors.
-
-    The fleet's aggregation contract says *who drives the shards cannot
-    change any result* — the in-process executor and one-worker-process-
-    per-shard executor must fold into the same ``fleet_sha256``. This
-    pass runs the identical seeded workload under both and compares.
-    """
-
-    n_shards: int
-    seed: int
-    sha_inprocess: str
-    sha_multiprocess: str
-    shard_hashes_inprocess: tuple[str, ...]
-    shard_hashes_multiprocess: tuple[str, ...]
-    n_records: int
-
-    @property
-    def identical(self) -> bool:
-        return self.sha_inprocess == self.sha_multiprocess
-
-    def render(self) -> str:
-        label = f"exec[{self.n_shards}]"
-        if self.identical:
-            return (
-                f"{label:>8}: OK  inprocess == multiprocess, "
-                f"{self.n_records} records, "
-                f"fleet sha {self.sha_inprocess[:16]}"
-            )
-        divergent = [
-            i
-            for i, (a, b) in enumerate(
-                zip(self.shard_hashes_inprocess, self.shard_hashes_multiprocess)
-            )
-            if a != b
-        ]
-        if divergent:
-            detail = f"shard trace hash(es) differ at index {divergent}"
-        else:
-            detail = (
-                "shard traces agree; merged stats/ledger state diverged "
-                f"({self.sha_inprocess[:16]} vs {self.sha_multiprocess[:16]})"
-            )
-        return f"{label:>8}: FAIL  {detail}"
-
-
-def check_executor_parity(
-    n_shards: int = 4,
-    n_jobs: int = 200,
-    seed: int = 2024,
-    scheduler: str = "Op",
-) -> ExecutorParityResult:
-    """Run one seeded fleet workload under both executors; compare digests.
-
-    This is the gate behind the multiprocess executor's whole design: the
-    command protocol, the spawn-context shard rebuild, and the
-    shard-index-order fold must be invisible to the digest. Worker
-    processes are real (spawn context), so this pass also proves the
-    shard state pickles faithfully.
-    """
-    from ..fleet import FleetConfig, FleetLoadConfig, run_fleet_load
-
-    def one_run(executor: str) -> "object":
-        result = run_fleet_load(
-            FleetConfig(n_shards=n_shards, seed=seed, scheduler=scheduler),
-            FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=seed),
-            executor=executor,
-        )
-        return result.report
-
-    report_in = one_run("inprocess")
-    report_mp = one_run("multiprocess")
-    return ExecutorParityResult(
-        n_shards=n_shards,
-        seed=seed,
-        sha_inprocess=report_in.sha256,
-        sha_multiprocess=report_mp.sha256,
-        shard_hashes_inprocess=tuple(report_in.shard_hashes),
-        shard_hashes_multiprocess=tuple(report_mp.shard_hashes),
-        n_records=len(report_in.trace.records),
-    )
-
-
-# ----------------------------------------------------------------------
-# Policy pass: convergence under churn must replay bit-for-bit
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolicyDeterminismResult:
-    """Verdict for one scheduler with a converger steering the EC pool.
-
-    The policy plane is *not* an observer — it launches and drains
-    machines — so its contract is the strong one: two seeded runs with
-    the same policy set, spot preemption active mid-convergence, must
-    agree on the job-trace hash **and** on the converger's audit-log
-    sha256 (every tick's observation, winner, and steps).
-    """
-
-    scheduler: str
-    hash_a: str
-    hash_b: str
-    audit_a: str
-    audit_b: str
-    n_records: int
-    ticks: int
-    steps_applied: int
-    preemptions: int
-    divergence: Optional[Divergence] = None
-
-    @property
-    def deterministic(self) -> bool:
-        return self.hash_a == self.hash_b and self.audit_a == self.audit_b
-
-    def render(self) -> str:
-        if self.deterministic:
-            return (
-                f"{self.scheduler:>8}: OK  {self.n_records} records, "
-                f"{self.ticks} ticks, {self.steps_applied} steps, "
-                f"{self.preemptions} preemptions, "
-                f"audit {self.audit_a[:16]}"
-            )
-        if self.hash_a != self.hash_b:
-            detail = (
-                self.divergence.render() if self.divergence else "hashes differ"
-            )
-        else:
-            detail = (
-                f"audit hashes differ: {self.audit_a[:16]} vs "
-                f"{self.audit_b[:16]}"
-            )
-        return f"{self.scheduler:>8}: FAIL  {detail}"
-
-
-def _policy_check_config() -> "PolicyConfig":
-    """The convergence-under-churn policy the check pass drives.
-
-    A steady target above the default EC pool size, converging
-    *effective* capacity with a launch delay — so spot preemptions and
-    offline windows force replacement launches mid-run and the
-    delete-offline reclaim path runs too.
-    """
-    from ..policy import ConvergerConfig, PolicyConfig, ScalingPolicy
-
-    return PolicyConfig(
+#: The scaling policies a cell can name.
+POLICIES = {
+    # A steady target above the default EC pool size, converging
+    # *effective* capacity with a launch delay: spot preemptions and
+    # offline windows force replacement launches mid-run, and the
+    # delete-offline reclaim path runs too.
+    "hold": PolicyConfig(
         policies=(
             ScalingPolicy(
                 name="hold-capacity", action="target", amount=6,
@@ -588,111 +194,9 @@ def _policy_check_config() -> "PolicyConfig":
             ),
         ),
         converger=ConvergerConfig(interval_s=180.0, launch_delay_s=30.0),
-    )
-
-
-def check_scheduler_policy(
-    scheduler_name: str,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> PolicyDeterminismResult:
-    """Double-run one scheduler with invariants, spot churn, and a
-    capacity-holding policy attached; compare trace + audit hashes."""
-    from ..econ import EconConfig, SpotMarketConfig, attach_econ
-    from ..policy import PolicyRuntime, attach_policy
-
-    econ_config = EconConfig(
-        spot=SpotMarketConfig(bid_usd_per_hour=0.13, variation=0.4)
-    )
-    policy_config = _policy_check_config()
-    batches = build_workload(spec)
-    holder: dict[str, PolicyRuntime] = {}
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        install_invariants(env)
-        attach_econ(env, econ_config)
-        holder["policy"] = attach_policy(env, policy_config)
-
-    trace_a = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    runtime = holder["policy"]
-    trace_b = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    hash_a, hash_b = hash_trace(trace_a), hash_trace(trace_b)
-    meta_a = trace_a.metadata["policy"]
-    meta_b = trace_b.metadata["policy"]
-    divergence = None
-    if hash_a != hash_b:
-        divergence = first_divergence(trace_a, trace_b)
-    totals = runtime.converger.step_totals()
-    return PolicyDeterminismResult(
-        scheduler=scheduler_name,
-        hash_a=hash_a,
-        hash_b=hash_b,
-        audit_a=str(meta_a["audit_sha256"]),
-        audit_b=str(meta_b["audit_sha256"]),
-        n_records=len(trace_a.records),
-        ticks=runtime.converger.ticks,
-        steps_applied=sum(
-            n for kind, n in totals.items() if kind != "failed"
-        ),
-        preemptions=int(trace_a.metadata["econ"]["preemptions"]),
-        divergence=divergence,
-    )
-
-
-def check_policy(
-    schedulers: Sequence[str] = ECON_SCHEDULERS,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> list[PolicyDeterminismResult]:
-    """The policy half of ``repro check``: audit verdicts per scheduler."""
-    return [check_scheduler_policy(name, spec=spec) for name in schedulers]
-
-
-@dataclass(frozen=True)
-class PolicyIdleResult:
-    """Outcome of the idle-policy parity witness.
-
-    A converger whose policies never trigger adds events to the loop
-    but must not move a single hashed bit — the job trace with an
-    attached-but-idle policy plane hashes identically to a run with no
-    policy plane at all. (Runs with the plane *not attached* are the
-    seed bit-for-bit by construction; every other pass certifies that.)
-    """
-
-    scheduler: str
-    hash_plain: str
-    hash_idle: str
-    ticks: int
-
-    @property
-    def invisible(self) -> bool:
-        return self.hash_plain == self.hash_idle
-
-    def render(self) -> str:
-        label = "idle"
-        if self.invisible:
-            return (
-                f"{label:>8}: OK  idle policy invisible over "
-                f"{self.ticks} ticks (trace {self.hash_plain[:16]})"
-            )
-        return (
-            f"{label:>8}: FAIL  trace hash moved under an idle policy: "
-            f"{self.hash_plain[:16]} vs {self.hash_idle[:16]}"
-        )
-
-
-def check_policy_idle(
-    scheduler: str = "Op",
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> PolicyIdleResult:
-    """Prove a never-triggering policy set cannot move the trace hash."""
-    from ..policy import (
-        ConvergerConfig,
-        PolicyConfig,
-        PolicyRuntime,
-        ScalingPolicy,
-        attach_policy,
-    )
-
-    idle_config = PolicyConfig(
+    ),
+    # Never triggers: the converger ticks but must not move a hashed bit.
+    "idle": PolicyConfig(
         policies=(
             ScalingPolicy(
                 name="never", trigger="queue", queue_at_least=10**9,
@@ -700,132 +204,314 @@ def check_policy_idle(
             ),
         ),
         converger=ConvergerConfig(interval_s=120.0),
-    )
-    batches = build_workload(spec)
-    trace_plain = run_one(scheduler, spec, batches=batches)
-    holder: dict[str, PolicyRuntime] = {}
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        holder["policy"] = attach_policy(env, idle_config)
-
-    trace_idle = run_one(scheduler, spec, batches=batches, env_hook=hook)
-    return PolicyIdleResult(
-        scheduler=scheduler,
-        hash_plain=hash_trace(trace_plain),
-        hash_idle=hash_trace(trace_idle),
-        ticks=holder["policy"].converger.ticks,
-    )
-
-
-# ----------------------------------------------------------------------
-# Obs pass: telemetry must be a pure observer
-# ----------------------------------------------------------------------
+    ),
+}
 
 
 @dataclass(frozen=True)
-class ObsParityResult:
-    """Outcome of the observer pass: telemetry on vs off, one answer.
+class Cell:
+    """What one seeded run attaches.
 
-    :mod:`repro.obs` promises to be a *pure observer*: attaching the
-    metrics registry and span recorder may add data to
-    ``trace.metadata`` but must not move a single hashed bit. This pass
-    certifies both halves of that contract — the single-environment
-    trace hash (telemetry attached vs not) and the fleet digest
-    (``FleetConfig(telemetry=...)`` on vs off).
+    ``executor`` is ``None`` for a single environment replaying the
+    experiment spec, or a fleet executor name (``"inprocess"`` or
+    ``"multiprocess"``) for a multi-tenant fleet of ``shards`` brokers
+    taking ``jobs`` arrivals at 50 jobs/s. ``starved`` adds a tenant
+    with a five-job quota, so the quota refusal path is hashed too.
     """
 
-    scheduler: str
-    hash_plain: str
-    hash_obs: str
-    fleet_sha_plain: str
-    fleet_sha_obs: str
-    n_records: int
-    n_metric_families: int
-    spans_kept: int
-    registry_sha: str
+    scheduler: str = "Op"
+    #: Billing and penalties on a churning spot market (single env only).
+    econ: bool = False
+    #: A key of :data:`POLICIES`, or ``None`` for no policy plane.
+    policy: Optional[str] = None
+    #: Telemetry: :func:`repro.obs.attach_obs`, or the fleet's own.
+    obs: bool = False
+    executor: Optional[str] = None
+    shards: int = 4
+    jobs: int = 200
+    starved: bool = False
+
+    def __post_init__(self) -> None:
+        if self.econ and self.executor is not None:
+            raise ValueError("spot churn is a single-environment axis")
 
     @property
-    def invisible(self) -> bool:
-        return (
-            self.hash_plain == self.hash_obs
-            and self.fleet_sha_plain == self.fleet_sha_obs
+    def axes(self) -> frozenset[str]:
+        """The ``repro check --no-*`` axes this cell uses."""
+        used = {
+            "econ": self.econ,
+            "policy": self.policy is not None,
+            "obs": self.obs,
+            "fleet": self.executor is not None,
+        }
+        return frozenset(axis for axis, on in used.items() if on)
+
+    def __str__(self) -> str:
+        name = self.scheduler
+        if self.econ:
+            name += "+spot"
+        if self.policy is not None:
+            name += f"+{self.policy}"
+        if self.obs:
+            name += "+obs"
+        if self.executor is None:
+            return name
+        starved = ",starved" if self.starved else ""
+        return f"fleet[{self.shards}x{self.jobs}{starved}] {name} {self.executor}"
+
+
+@dataclass(frozen=True)
+class CellRun:
+    """One run of a cell: its named digests and the counts reports print."""
+
+    #: The run's trace — for a fleet, the shard traces merged.
+    trace: RunTrace
+    digests: dict[str, str]
+    counts: dict[str, int]
+
+
+def attach_cell(
+    env: CloudBurstEnvironment, cell: Cell, invariants: bool = True
+) -> None:
+    """The env hook of a single-environment cell: arm what it attaches."""
+    if invariants:
+        install_invariants(env)
+    if cell.econ:
+        attach_econ(env, SPOT_CHURN)
+    if cell.policy is not None:
+        attach_policy(env, POLICIES[cell.policy])
+    if cell.obs:
+        attach_obs(env)
+
+
+def run_cell(
+    cell: Cell,
+    spec: ExperimentSpec = DEFAULT_SPEC,
+    seed: int = 2024,
+    invariants: bool = True,
+) -> CellRun:
+    """Make one fresh run of ``cell``.
+
+    A single-environment cell replays ``spec``'s workload, with the
+    runtime invariant checker armed when ``invariants``; a fleet cell
+    seeds its shards and arrivals from ``seed``.
+    """
+    if cell.executor is not None:
+        return _run_fleet(cell, seed)
+    trace = run_one(
+        cell.scheduler,
+        spec,
+        env_hook=lambda env: attach_cell(env, cell, invariants),
+    )
+    meta = trace.metadata
+    digests = {"trace": hash_trace(trace)}
+    counts = {"records": len(trace.records)}
+    if cell.econ:
+        digests["ledger"] = str(meta["econ"]["ledger_sha256"])
+        counts["preemptions"] = int(meta["econ"]["preemptions"])
+    if cell.policy is not None:
+        digests["audit"] = str(meta["policy"]["audit_sha256"])
+        summary = meta["policy"]["summary"]
+        counts["ticks"] = int(summary["ticks"])
+        counts["steps"] = sum(
+            n for kind, n in summary["steps"].items() if kind != "failed"
         )
+    if cell.obs:
+        digests["registry"] = str(meta["obs"]["registry_sha256"])
+        counts["families"] = len(meta["obs"]["registry"]["families"])
+        counts["spans"] = int(meta["obs"]["spans"]["summary"]["kept"])
+    return CellRun(trace, digests, counts)
+
+
+def _run_fleet(cell: Cell, seed: int) -> CellRun:
+    # Local import: repro.fleet builds on this module's hash_trace.
+    from ..fleet import (
+        BRONZE,
+        FleetConfig,
+        FleetLoadConfig,
+        TenantSpec,
+        default_registry,
+        run_fleet_load,
+    )
+
+    registry = default_registry(11) if cell.starved else None
+    if registry is not None:
+        registry.register(
+            TenantSpec(tenant_id="starved-012", sla_class=BRONZE, quota_jobs=5)
+        )
+    report = run_fleet_load(
+        FleetConfig(
+            n_shards=cell.shards,
+            seed=seed,
+            scheduler=cell.scheduler,
+            telemetry=cell.obs,
+            scaling=None if cell.policy is None else POLICIES[cell.policy],
+        ),
+        FleetLoadConfig(n_jobs=cell.jobs, rate_per_s=50.0, seed=seed),
+        registry=registry,
+        executor=cell.executor,
+    ).report
+    digests = {"fleet": report.sha256}
+    if report.policy is not None:
+        # One digest over every shard's audit log, in shard order.
+        audits = "\x1e".join(str(shard["audit_sha256"]) for shard in report.policy)
+        digests["audit"] = hashlib.sha256(audits.encode()).hexdigest()
+    if report.obs is not None:
+        digests["registry"] = report.obs.snapshot_sha256()
+    counts = {
+        "records": len(report.trace.records),
+        "quota refusals": report.quota_rejected,
+    }
+    return CellRun(report.trace, digests, counts)
+
+
+# ----------------------------------------------------------------------
+# Contracts: Double and Same, one result type
+# ----------------------------------------------------------------------
+
+#: How a contract gets a run: ``run(cell)`` is the cell's cached first
+#: run, ``run(cell, fresh=True)`` a new one.
+Runner = Callable[..., CellRun]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One contract's verdict."""
+
+    label: str
+    ok: bool
+    #: The compared digests, as the first run produced them.
+    digests: dict[str, str]
+    counts: dict[str, int]
+    #: Where the two traces first disagreed, when a digest differs.
+    divergence: Optional[Divergence] = None
+    detail: str = ""
 
     def render(self) -> str:
-        label = "obs"
-        if self.invisible:
-            return (
-                f"{label:>8}: OK  telemetry invisible "
-                f"({self.n_metric_families} families, "
-                f"{self.spans_kept} spans, "
-                f"registry {self.registry_sha[:16]})"
-            )
-        if self.hash_plain != self.hash_obs:
-            detail = (
-                "trace hash moved when telemetry attached: "
-                f"{self.hash_plain[:16]} vs {self.hash_obs[:16]}"
-            )
-        else:
-            detail = (
-                "fleet sha moved under telemetry: "
-                f"{self.fleet_sha_plain[:16]} vs {self.fleet_sha_obs[:16]}"
-            )
-        return f"{label:>8}: FAIL  {detail}"
+        if not self.ok:
+            return f"{self.label}: FAIL  {self.detail}"
+        shown = [f"{n} {name}" for name, n in self.counts.items()]
+        shown += [f"{key} {digest[:16]}" for key, digest in self.digests.items()]
+        return f"{self.label}: OK  {', '.join(shown)}"
 
 
-def check_obs_parity(
-    scheduler: str = "Op",
-    spec: ExperimentSpec = DEFAULT_SPEC,
-    n_shards: int = 4,
-    n_jobs: int = 200,
-    seed: int = 2024,
-) -> ObsParityResult:
-    """Prove telemetry cannot move a digest.
-
-    Two witnesses, both on identical seeded workloads:
-
-    * one environment run twice — bare, then with
-      :func:`repro.obs.attach_obs` recording the full metric catalogue
-      and span stream — must produce one trace hash;
-    * one sharded fleet run twice — ``telemetry=False``, then
-      ``telemetry=True`` with worker-plane meters armed — must produce
-      one fleet SHA-256.
-    """
-    from ..fleet import FleetConfig, FleetLoadConfig, run_fleet_load
-    from ..obs import ObsRuntime, attach_obs
-
-    batches = build_workload(spec)
-    trace_plain = run_one(scheduler, spec, batches=batches)
-    holder: dict[str, ObsRuntime] = {}
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        holder["obs"] = attach_obs(env)
-
-    trace_obs = run_one(scheduler, spec, batches=batches, env_hook=hook)
-    obs_meta = trace_obs.metadata["obs"]
-    assert isinstance(obs_meta, dict)
-
-    def fleet_sha(telemetry: bool) -> str:
-        result = run_fleet_load(
-            FleetConfig(
-                n_shards=n_shards,
-                seed=seed,
-                scheduler=scheduler,
-                telemetry=telemetry,
-            ),
-            FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=seed),
-        )
-        return str(result.report.sha256)
-
-    runtime = holder["obs"]
-    return ObsParityResult(
-        scheduler=scheduler,
-        hash_plain=hash_trace(trace_plain),
-        hash_obs=hash_trace(trace_obs),
-        fleet_sha_plain=fleet_sha(False),
-        fleet_sha_obs=fleet_sha(True),
-        n_records=len(trace_obs.records),
-        n_metric_families=len(runtime.registry.families()),
-        spans_kept=len(runtime.spans),
-        registry_sha=str(obs_meta["registry_sha256"]),
+def _compare(
+    label: str, keys: tuple[str, ...], a: CellRun, b: CellRun
+) -> CheckResult:
+    differ = [key for key in keys if a.digests[key] != b.digests[key]]
+    divergence = first_divergence(a.trace, b.trace) if differ else None
+    detail = ", ".join(
+        f"{key} {a.digests[key][:16]} vs {b.digests[key][:16]}" for key in differ
     )
+    if divergence is not None:
+        detail += f"; {divergence.render()}"
+    return CheckResult(
+        label=label,
+        ok=not differ,
+        digests={key: a.digests[key] for key in keys},
+        counts=b.counts,
+        divergence=divergence,
+        detail=detail,
+    )
+
+
+@dataclass(frozen=True)
+class Double:
+    """Run ``cell`` twice; every digest in ``keys`` must match."""
+
+    cell: Cell
+    keys: tuple[str, ...]
+
+    @property
+    def axes(self) -> frozenset[str]:
+        return self.cell.axes
+
+    @property
+    def label(self) -> str:
+        return f"{self.cell} x2"
+
+    def verify(self, run: Runner) -> CheckResult:
+        first, second = run(self.cell), run(self.cell, fresh=True)
+        return _compare(self.label, self.keys, first, second)
+
+
+@dataclass(frozen=True)
+class Same:
+    """Cells ``a`` and ``b`` must agree on every digest in ``keys``."""
+
+    a: Cell
+    b: Cell
+    keys: tuple[str, ...]
+
+    @property
+    def axes(self) -> frozenset[str]:
+        return self.a.axes | self.b.axes
+
+    @property
+    def label(self) -> str:
+        return f"{self.a} == {self.b}"
+
+    def verify(self, run: Runner) -> CheckResult:
+        return _compare(self.label, self.keys, run(self.a), run(self.b))
+
+
+Check = Union[Double, Same]
+
+
+def check_table(
+    schedulers: Optional[Sequence[str]] = None, shards: int = 4, jobs: int = 200
+) -> tuple[Check, ...]:
+    """The ``repro check`` contracts, one row each.
+
+    ``schedulers`` replaces the sweep of the per-scheduler rows (the
+    paper's four for the plain double run, plus CostAware with econ and
+    policy attached); every other row runs Op. ``shards`` and ``jobs``
+    size the fleet rows; the starved-tenant fleet takes twice the jobs.
+    """
+    fleet = Cell(executor="inprocess", shards=shards, jobs=jobs)
+    shipped = replace(fleet, obs=True, policy="hold")
+    rows: list[Check] = [
+        *(Double(Cell(s), ("trace",)) for s in schedulers or PAPER_SCHEDULERS),
+        *(
+            Double(Cell(s, econ=True), ("trace", "ledger"))
+            for s in schedulers or ECON_SCHEDULERS
+        ),
+        Double(replace(fleet, jobs=2 * jobs, starved=True), ("fleet",)),
+        Same(fleet, replace(fleet, executor="multiprocess"), ("fleet",)),
+        Same(Cell(), Cell(obs=True), ("trace",)),
+        Double(Cell(obs=True), ("trace", "registry")),
+        Same(fleet, replace(fleet, obs=True), ("fleet",)),
+        *(
+            Double(Cell(s, econ=True, policy="hold"), ("trace", "ledger", "audit"))
+            for s in schedulers or ECON_SCHEDULERS
+        ),
+        Same(Cell(), Cell(policy="idle"), ("trace",)),
+        # What `fleet serve` ships. The registry is left out: worker-plane
+        # CPU histograms are wall-measured, so it differs by executor.
+        Same(shipped, replace(shipped, executor="multiprocess"), ("fleet", "audit")),
+    ]
+    return tuple(rows)
+
+
+#: The default table ``repro check`` loops over.
+CHECKS = check_table()
+
+
+def run_checks(
+    checks: Sequence[Check],
+    spec: ExperimentSpec = DEFAULT_SPEC,
+    seed: int = 2024,
+    invariants: bool = True,
+) -> Iterator[CheckResult]:
+    """Verify each contract in turn, making each cell's first run once."""
+    cache: dict[Cell, CellRun] = {}
+
+    def run(cell: Cell, fresh: bool = False) -> CellRun:
+        if fresh:
+            return run_cell(cell, spec, seed, invariants)
+        if cell not in cache:
+            cache[cell] = run_cell(cell, spec, seed, invariants)
+        return cache[cell]
+
+    for check in checks:
+        yield check.verify(run)

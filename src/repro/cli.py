@@ -8,20 +8,16 @@ can gate on them:
 * ``repro lint [paths...]`` — run the custom AST lint
   (:mod:`repro.analysis.lint`) over source trees; defaults to the
   installed ``repro`` package itself. Exit 1 on any violation.
-* ``repro check [--scheduler NAME] [--no-econ] [--no-fleet] [--no-obs]``
-  — the
-  determinism harness (:mod:`repro.analysis.determinism`): run each
-  paper scheduler twice on the same seeded workload with runtime
-  invariants enabled and compare trace hashes; then repeat with cost
-  accounting and spot preemption attached, additionally comparing
-  ``CostLedger`` hashes; then double-run a small sharded multi-tenant
-  fleet and compare the merged trace/stats/ledger digest; then run
-  the obs-parity pass — telemetry attached vs not, neither the trace
-  hash nor the fleet digest may move; finally the policy pass — the
-  convergence autoscaler under spot churn, double-run comparing both
-  the trace hash and the convergence audit sha256, plus the idle-policy
-  parity run (attached-but-idle trace == no-policy trace). Exit 1 on
-  divergence or invariant violation.
+* ``repro check [--scheduler NAME] [--seed N] [--no-invariants]
+  [--no-econ] [--no-fleet] [--no-obs] [--no-policy] [--no-lint]`` — the
+  determinism harness (:mod:`repro.analysis.determinism`): after the
+  static lint gate, verify every row of its contract table. A
+  ``Double`` row runs one cell (scheduler plus what it attaches: spot
+  churn with billing, a scaling policy, telemetry, a sharded fleet
+  under an executor) twice and compares its digests; a ``Same`` row
+  requires two cells to agree (telemetry on vs off, an idle policy vs
+  none, multiprocess vs in-process). Each ``--no-*`` flag skips the
+  rows that use its axis. Exit 1 on divergence or invariant violation.
 * ``repro typecheck`` — ``mypy --strict`` over the typed core
   (``repro.sim.engine``, ``repro.core``, ``repro.analysis``). Skips with
   exit 0 when mypy is not installed (the pinned container image carries
@@ -209,22 +205,12 @@ def _lint_gate() -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .analysis.determinism import (
-        ECON_SCHEDULERS,
-        check_determinism,
-        check_econ,
-        check_executor_parity,
-        check_fleet,
-        check_obs_parity,
-        check_policy,
-        check_policy_idle,
-    )
+    from .analysis.determinism import check_table, run_checks
     from .analysis.invariants import InvariantError
     from .experiments.config import DEFAULT_SPEC
-    from .experiments.runner import PAPER_SCHEDULERS, SCHEDULER_NAMES
+    from .experiments.runner import SCHEDULER_NAMES
 
-    schedulers: Sequence[str] = args.scheduler or list(PAPER_SCHEDULERS)
-    unknown = [s for s in schedulers if s not in SCHEDULER_NAMES]
+    unknown = [s for s in args.scheduler or () if s not in SCHEDULER_NAMES]
     if unknown:
         print(
             f"repro check: unknown scheduler(s) {unknown}; "
@@ -236,82 +222,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
         exit_code = _lint_gate()
         if exit_code:
             return exit_code
-    spec = DEFAULT_SPEC
-    if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+    spec = DEFAULT_SPEC if args.seed is None else DEFAULT_SPEC.with_seed(args.seed)
+    skipped = {
+        axis
+        for axis in ("econ", "fleet", "obs", "policy")
+        if getattr(args, f"no_{axis}")
+    }
+    checks = [c for c in check_table(args.scheduler) if not c.axes & skipped]
     print(
-        f"determinism check: {len(schedulers)} scheduler(s), "
-        f"double-run with invariants "
-        f"{'on' if not args.no_invariants else 'off'}"
+        f"determinism check: {len(checks)} contract(s), invariants "
+        f"{'off' if args.no_invariants else 'on'}"
     )
     failed = False
     try:
-        results = check_determinism(
-            schedulers, spec=spec, invariants=not args.no_invariants
-        )
-        for result in results:
+        for result in run_checks(
+            checks,
+            spec=spec,
+            seed=2024 if args.seed is None else args.seed,
+            invariants=not args.no_invariants,
+        ):
             print(result.render())
-            failed = failed or not result.deterministic
-        if not args.no_econ:
-            econ_schedulers = (
-                args.scheduler if args.scheduler else list(ECON_SCHEDULERS)
-            )
-            print(
-                f"econ check: {len(econ_schedulers)} scheduler(s), "
-                "double-run with billing + spot preemption, ledger hashes"
-            )
-            for econ_result in check_econ(econ_schedulers, spec=spec):
-                print(econ_result.render())
-                failed = failed or not econ_result.deterministic
-        if not args.no_fleet:
-            print(
-                "fleet check: 4-shard multi-tenant double-run, "
-                "merged trace/ledger/stats digest"
-            )
-            fleet_result = check_fleet(
-                seed=args.seed if args.seed is not None else 2024
-            )
-            print(fleet_result.render())
-            failed = failed or not fleet_result.deterministic
-            print(
-                "executor parity: same 4-shard workload under inprocess "
-                "and multiprocess executors, one digest"
-            )
-            parity_result = check_executor_parity(
-                seed=args.seed if args.seed is not None else 2024
-            )
-            print(parity_result.render())
-            failed = failed or not parity_result.identical
-        if not args.no_obs:
-            print(
-                "obs check: telemetry on vs off, trace hash and fleet "
-                "digest must not move"
-            )
-            obs_result = check_obs_parity(
-                spec=spec,
-                seed=args.seed if args.seed is not None else 2024,
-            )
-            print(obs_result.render())
-            failed = failed or not obs_result.invisible
-        if not args.no_policy:
-            policy_schedulers = (
-                args.scheduler if args.scheduler else list(ECON_SCHEDULERS)
-            )
-            print(
-                f"policy check: {len(policy_schedulers)} scheduler(s), "
-                "convergence autoscaler under spot churn, "
-                "trace + audit sha256 double-run"
-            )
-            for policy_result in check_policy(policy_schedulers, spec=spec):
-                print(policy_result.render())
-                failed = failed or not policy_result.deterministic
-            print(
-                "policy idle parity: never-firing policy attached, "
-                "trace hash must equal the no-policy run"
-            )
-            idle_result = check_policy_idle(spec=spec)
-            print(idle_result.render())
-            failed = failed or not idle_result.invisible
+            failed = failed or not result.ok
     except InvariantError as exc:
         print(f"invariant violated during check run: {exc}", file=sys.stderr)
         return 1
@@ -481,17 +412,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--no-econ",
         action="store_true",
-        help="skip the econ pass (billing/penalty/ledger determinism)",
+        help="skip rows with spot churn + billing (ledger determinism)",
     )
     p_check.add_argument(
         "--no-fleet",
         action="store_true",
-        help="skip the fleet pass (cross-shard merged-digest determinism)",
+        help="skip rows that run a sharded fleet (merged-digest determinism)",
     )
     p_check.add_argument(
         "--no-obs",
         action="store_true",
-        help="skip the obs pass (telemetry observer-invisibility parity)",
+        help="skip rows with telemetry attached (observer parity)",
     )
     p_check.add_argument(
         "--no-lint",
@@ -501,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--no-policy",
         action="store_true",
-        help="skip the policy pass (convergence-audit determinism + idle parity)",
+        help="skip rows with a scaling policy (audit determinism, idle parity)",
     )
     p_check.set_defaults(func=_cmd_check)
 

@@ -38,9 +38,6 @@ See ``docs/fleet.md`` for the tenancy model, routing, executor process
 model and determinism contract in prose.
 """
 
-import warnings
-from typing import Any
-
 from .aggregate import FleetReport, TenantReport, aggregate_shards, fleet_sha256
 from .api import FleetAPIServer, serve_fleet
 from .client import (
@@ -94,7 +91,7 @@ from .tenants import (
 
 __all__ = [
     "SLAClass", "GOLD", "SILVER", "BRONZE", "SLA_CLASSES",
-    "ScaledTicket", "TenantSpec", "Tenant", "TenantRegistry",
+    "ScaledTicket", "TenantSpec", "TenantRegistry",
     "UnknownTenantError", "default_registry",
     "SchemaError", "validate",
     "FleetConfig", "BrokerShard", "FleetManager", "TenantAccount",
@@ -110,16 +107,3 @@ __all__ = [
     "FleetLoadConfig", "FleetLoadResult", "drive_shard_load",
     "run_fleet_load",
 ]
-
-
-def __getattr__(name: str) -> Any:
-    """One-release deprecation shim: ``Tenant`` -> :class:`TenantSpec`."""
-    if name == "Tenant":
-        warnings.warn(
-            "repro.fleet.Tenant is deprecated and will be removed next "
-            "release; use TenantSpec",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TenantSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional
 from urllib.parse import urlsplit
@@ -55,9 +54,8 @@ class FleetAPIError(RuntimeError):
 def parse_error(status: int, payload: Any) -> FleetAPIError:
     """Turn an error response body into a :class:`FleetAPIError`.
 
-    Accepts the versioned envelope (``code``/``message``/``path``) and —
-    for one release, with a :class:`DeprecationWarning` — the pre-PR-8
-    shape (``type``/``message``/``details``).
+    Reads the versioned envelope (``code``/``message``/``path``); any
+    other body becomes ``code="unknown"`` carrying the raw payload.
     """
     err = payload.get("error", {}) if isinstance(payload, dict) else {}
     if "code" in err:
@@ -66,22 +64,6 @@ def parse_error(status: int, payload: Any) -> FleetAPIError:
             str(err.get("code", "unknown")),
             str(err.get("message", "")),
             str(err.get("path", "")),
-        )
-    if "type" in err:
-        warnings.warn(
-            "the fleet server returned the pre-v1 error envelope "
-            "('type'/'details'); envelope compatibility parsing is "
-            "deprecated and will be removed next release — upgrade the "
-            "server",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        details = err.get("details") or []
-        path = ""
-        if details and isinstance(details[0], dict):
-            path = str(details[0].get("path", ""))
-        return FleetAPIError(
-            status, str(err.get("type", "unknown")), str(err.get("message", "")), path
         )
     return FleetAPIError(status, "unknown", json.dumps(payload)[:200], "")
 

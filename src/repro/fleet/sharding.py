@@ -32,7 +32,6 @@ CostLedger`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -72,7 +71,7 @@ __all__ = [
 QUOTA_REASON = "quota"
 
 
-@dataclass(frozen=True, kw_only=True, init=False)
+@dataclass(frozen=True, kw_only=True)
 class FleetConfig:
     """Everything needed to stand up one fleet.
 
@@ -82,10 +81,6 @@ class FleetConfig:
     executor`). The executor choice cannot change any digest: that is
     the executor-parity contract ``repro check`` enforces.
 
-    ``pretrain_jobs`` was called ``pretrain_samples`` through PR 7; the
-    old keyword (and attribute) survive one release behind a
-    ``DeprecationWarning``.
-
     ``scaling`` arms the same declarative converger
     (:class:`repro.policy.PolicyConfig`) on *every* shard's EC pool —
     shard environments are substream-seeded, so a policy-driven fleet
@@ -93,103 +88,32 @@ class FleetConfig:
     shard-index order into ``FleetReport.policy``, outside the digest.
     """
 
-    n_shards: int
-    seed: int
-    scheduler: str
-    system: SystemConfig
-    policy: SLAPolicy
-    penalty: PenaltySchedule
-    on_demand: OnDemandPrice
-    bucket: Bucket
-    pretrain: bool
-    pretrain_jobs: int
-    executor: str
-    command_timeout_s: float
-    drain_timeout_s: float
-    command_queue_depth: int
-    telemetry: bool
-    scaling: Optional[PolicyConfig]
+    n_shards: int = 4
+    seed: int = 2024
+    scheduler: str = "Op"
+    system: SystemConfig = field(default_factory=SystemConfig)
+    policy: SLAPolicy = field(default_factory=SLAPolicy)
+    penalty: PenaltySchedule = field(default_factory=PenaltySchedule)
+    on_demand: OnDemandPrice = field(default_factory=OnDemandPrice)
+    bucket: Bucket = Bucket.UNIFORM
+    pretrain: bool = True
+    pretrain_jobs: int = 400
+    executor: str = "inprocess"
+    command_timeout_s: float = 30.0
+    drain_timeout_s: float = 600.0
+    command_queue_depth: int = 16
+    telemetry: bool = True
+    scaling: Optional[PolicyConfig] = None
 
-    def __init__(
-        self,
-        *,
-        n_shards: int = 4,
-        seed: int = 2024,
-        scheduler: str = "Op",
-        system: Optional[SystemConfig] = None,
-        policy: Optional[SLAPolicy] = None,
-        penalty: Optional[PenaltySchedule] = None,
-        on_demand: Optional[OnDemandPrice] = None,
-        bucket: Bucket = Bucket.UNIFORM,
-        pretrain: bool = True,
-        pretrain_jobs: Optional[int] = None,
-        executor: str = "inprocess",
-        command_timeout_s: float = 30.0,
-        drain_timeout_s: float = 600.0,
-        command_queue_depth: int = 16,
-        telemetry: bool = True,
-        scaling: Optional[PolicyConfig] = None,
-        pretrain_samples: Optional[int] = None,
-    ) -> None:
-        if pretrain_samples is not None:
-            warnings.warn(
-                "FleetConfig(pretrain_samples=...) is deprecated and will be "
-                "removed next release; use pretrain_jobs=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if pretrain_jobs is not None:
-                raise TypeError(
-                    "pass pretrain_jobs or pretrain_samples, not both"
-                )
-            pretrain_jobs = pretrain_samples
-        if pretrain_jobs is None:
-            pretrain_jobs = 400
-        if n_shards < 1:
+    def __post_init__(self) -> None:
+        if self.n_shards < 1:
             raise ValueError("n_shards must be positive")
-        if pretrain_jobs < 1:
+        if self.pretrain_jobs < 1:
             raise ValueError("pretrain_jobs must be positive")
-        if command_timeout_s <= 0 or drain_timeout_s <= 0:
+        if self.command_timeout_s <= 0 or self.drain_timeout_s <= 0:
             raise ValueError("executor timeouts must be positive")
-        if command_queue_depth < 1:
+        if self.command_queue_depth < 1:
             raise ValueError("command_queue_depth must be positive")
-        object.__setattr__(self, "n_shards", n_shards)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "scheduler", scheduler)
-        object.__setattr__(
-            self, "system", system if system is not None else SystemConfig()
-        )
-        object.__setattr__(
-            self, "policy", policy if policy is not None else SLAPolicy()
-        )
-        object.__setattr__(
-            self, "penalty", penalty if penalty is not None else PenaltySchedule()
-        )
-        object.__setattr__(
-            self,
-            "on_demand",
-            on_demand if on_demand is not None else OnDemandPrice(),
-        )
-        object.__setattr__(self, "bucket", bucket)
-        object.__setattr__(self, "pretrain", pretrain)
-        object.__setattr__(self, "pretrain_jobs", pretrain_jobs)
-        object.__setattr__(self, "executor", executor)
-        object.__setattr__(self, "command_timeout_s", command_timeout_s)
-        object.__setattr__(self, "drain_timeout_s", drain_timeout_s)
-        object.__setattr__(self, "command_queue_depth", command_queue_depth)
-        object.__setattr__(self, "telemetry", telemetry)
-        object.__setattr__(self, "scaling", scaling)
-
-    @property
-    def pretrain_samples(self) -> int:
-        """Deprecated alias for :attr:`pretrain_jobs` (one release)."""
-        warnings.warn(
-            "FleetConfig.pretrain_samples is deprecated and will be removed "
-            "next release; read pretrain_jobs",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.pretrain_jobs
 
     def shard_seed(self, index: int) -> int:
         """The environment master seed of shard ``index``."""

@@ -12,8 +12,7 @@ job is arriving. This module supplies that vocabulary:
   into :class:`repro.econ.penalties.PenaltySchedule` via its ``scaled``
   knob), and default quota sizing.
 * :class:`TenantSpec` — one customer: identity, class, per-run job quota
-  and the derived admission policy / penalty schedule. (``Tenant`` is a
-  one-release deprecated alias.)
+  and the derived admission policy / penalty schedule.
 * :class:`TenantRegistry` — the fleet's directory: registration, lookup,
   and deterministic hash routing of tenants onto N broker shards
   (:func:`repro.common.stable_hash` — never the process-salted builtin
@@ -22,9 +21,8 @@ job is arriving. This module supplies that vocabulary:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..common import stable_hash
 from ..econ.penalties import PenaltySchedule
@@ -40,7 +38,6 @@ __all__ = [
     "SLA_CLASSES",
     "ScaledTicket",
     "TenantSpec",
-    "Tenant",  # deprecated alias for TenantSpec, one release
     "TenantRegistry",
     "UnknownTenantError",
     "default_registry",
@@ -231,16 +228,3 @@ def default_registry(n_tenants: int = 12) -> TenantRegistry:
             )
         )
     return registry
-
-
-def __getattr__(name: str) -> Any:
-    """One-release deprecation shim: ``Tenant`` -> :class:`TenantSpec`."""
-    if name == "Tenant":
-        warnings.warn(
-            "repro.fleet.tenants.Tenant is deprecated and will be removed "
-            "next release; use TenantSpec",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TenantSpec
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

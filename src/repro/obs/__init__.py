@@ -7,8 +7,8 @@ can see, never what happens. Telemetry draws no simulation randomness
 no scheduler or broker state, and lands its output in
 ``trace.metadata["obs"]`` — which :func:`~repro.analysis.determinism.hash_trace`
 deliberately does not hash — so every ``repro check`` digest is
-bit-identical with telemetry on or off. The ``check obs`` parity pass
-pins that contract.
+bit-identical with telemetry on or off. The ``repro check`` obs parity
+rows pin that contract.
 
 Three layers:
 

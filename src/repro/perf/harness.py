@@ -855,7 +855,7 @@ def run_bench(
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Standalone runner (``python benchmarks/harness.py``)."""
+    """Standalone runner (``python -m repro.perf.harness``)."""
     import argparse
 
     parser = argparse.ArgumentParser(description="repro bench harness")

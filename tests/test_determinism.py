@@ -3,17 +3,24 @@
 The harness's own promise is tested both ways: a seeded double run must
 hash identical, and any single-bit perturbation of a trace must change
 the hash *and* be located precisely by the first-divergence report.
+Every row of the ``repro check`` table runs here at a small size.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.analysis.determinism as determinism
 from repro.analysis.determinism import (
-    check_determinism,
-    check_scheduler,
+    CHECKS,
+    Cell,
+    Double,
+    check_table,
     first_divergence,
     hash_trace,
+    run_checks,
 )
 from repro.cli import main
 from repro.experiments.config import ExperimentSpec
@@ -84,22 +91,129 @@ class TestHashing:
 
 class TestHarness:
     def test_check_scheduler_verdict(self):
-        result = check_scheduler("Greedy", spec=SMALL_SPEC)
-        assert result.deterministic
+        [result] = run_checks([Double(Cell("Greedy"), ("trace",))], spec=SMALL_SPEC)
+        assert result.ok
         assert result.divergence is None
-        assert result.n_records > 0
+        assert result.counts["records"] > 0
         assert "OK" in result.render()
 
     def test_check_determinism_covers_requested_schedulers(self):
-        results = check_determinism(["ICOnly", "OpSIBS"], spec=SMALL_SPEC)
-        assert [r.scheduler for r in results] == ["ICOnly", "OpSIBS"]
-        assert all(r.deterministic for r in results)
+        plain = [c for c in check_table(["ICOnly", "OpSIBS"]) if not c.axes]
+        assert [c.cell.scheduler for c in plain] == ["ICOnly", "OpSIBS"]
+        results = list(run_checks(plain, spec=SMALL_SPEC))
+        assert [r.label for r in results] == ["ICOnly x2", "OpSIBS x2"]
+        assert all(r.ok for r in results)
 
-    def test_invariants_ride_along_by_default(self):
+    def test_invariants_ride_along_by_default(self, monkeypatch):
         # The default check runs with the runtime checker installed; a
         # structurally sound scheduler must not trip it.
-        result = check_scheduler("Op", spec=SMALL_SPEC, invariants=True)
-        assert result.deterministic
+        installed = []
+        real = determinism.install_invariants
+        monkeypatch.setattr(
+            determinism,
+            "install_invariants",
+            lambda env: installed.append(env) or real(env),
+        )
+        [result] = run_checks([Double(Cell("Op"), ("trace",))], spec=SMALL_SPEC)
+        assert result.ok
+        assert len(installed) == 2
+
+
+@pytest.fixture(scope="module")
+def small_table():
+    """Every table row at SMALL_SPEC with a 2-shard, 80-job fleet, plus
+    how often each cell was run."""
+    calls: Counter = Counter()
+    real = determinism.run_cell
+
+    def counting_run_cell(cell, *args, **kwargs):
+        calls[cell] += 1
+        return real(cell, *args, **kwargs)
+
+    checks = check_table(shards=2, jobs=80)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(determinism, "run_cell", counting_run_cell)
+        results = list(run_checks(checks, spec=SMALL_SPEC))
+    return checks, results, calls
+
+
+def nudge_second_run(monkeypatch):
+    """Make the second env hook call perturb its run: the first job to
+    complete finishes one ulp later."""
+    real = determinism.attach_cell
+    calls = []
+
+    def attach(env, cell, invariants=True):
+        real(env, cell, invariants)
+        calls.append(cell)
+        if len(calls) != 2:
+            return
+        done = []
+
+        def nudge(record):
+            if not done:
+                record.completion_time += 1e-9
+                done.append(record)
+
+        env.completion_observers.append(nudge)
+
+    monkeypatch.setattr(determinism, "attach_cell", attach)
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("index", range(len(CHECKS)), ids=lambda i: f"row{i}")
+    def test_row_passes_small(self, small_table, index):
+        checks, results, _ = small_table
+        result = results[index]
+        assert result.label == checks[index].label
+        assert result.ok, result.render()
+        assert "OK" in result.render()
+
+    def test_no_cell_runs_twice_except_a_double(self, small_table):
+        checks, _, calls = small_table
+        doubled = {c.cell for c in checks if isinstance(c, Double)}
+        assert calls == {cell: 2 if cell in doubled else 1 for cell in calls}
+
+    def test_shipped_combination_row(self):
+        shipped = CHECKS[-1]
+        assert shipped.axes == {"fleet", "obs", "policy"}
+        assert (shipped.a.executor, shipped.b.executor) == (
+            "inprocess",
+            "multiprocess",
+        )
+        assert shipped.keys == ("fleet", "audit")
+
+    @pytest.mark.parametrize("axis", ["econ", "fleet", "obs", "policy"])
+    def test_no_flag_skips_exactly_its_axis(self, monkeypatch, axis):
+        ran = []
+        monkeypatch.setattr(
+            determinism,
+            "run_checks",
+            lambda checks, **kwargs: ran.extend(checks) or iter(()),
+        )
+        assert main(["check", "--no-lint", f"--no-{axis}"]) == 0
+        assert ran == [c for c in CHECKS if axis not in c.axes]
+
+    def test_perturbed_second_run_fails_with_divergence(self, monkeypatch):
+        nudge_second_run(monkeypatch)
+        [result] = run_checks([Double(Cell("Greedy"), ("trace",))], spec=SMALL_SPEC)
+        assert not result.ok
+        assert result.divergence is not None
+        assert result.divergence.record_index is not None
+        assert result.divergence.field == "completion_time"
+        rendered = result.render()
+        assert "FAIL" in rendered
+        assert "first divergence at record #" in rendered
+        assert "'completion_time'" in rendered
+
+    def test_check_exits_one_on_divergence(self, monkeypatch, capsys):
+        nudge_second_run(monkeypatch)
+        argv = ["check", "--no-lint", "--scheduler", "Greedy", "--no-econ",
+                "--no-fleet", "--no-obs", "--no-policy"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "Greedy x2: FAIL" in out
+        assert "'completion_time'" in out
 
 
 class TestCLI:

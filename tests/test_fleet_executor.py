@@ -11,9 +11,9 @@ The contracts under test, from ISSUE 8:
   books fold in exactly as if the parent had drained it;
 * **strict mode** — ``repro fleet loadgen --strict`` exits nonzero when
   any shard was lost;
-* **one-release aliases** — ``Tenant``/``pretrain_samples`` and the
-  old error envelope keep working behind ``DeprecationWarning``s, and
-  positional config construction fails loudly.
+* **expired aliases stay gone** — ``Tenant`` and ``pretrain_samples``
+  are rejected, an old-shape error body parses as ``code="unknown"``,
+  and positional config construction fails loudly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import signal
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -66,11 +67,14 @@ def tenants_by_shard(manager: FleetManager) -> dict[int, str]:
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     def test_both_executors_produce_one_digest(self):
-        from repro.analysis.determinism import check_executor_parity
+        from repro.analysis.determinism import Cell, Same, run_checks
 
-        result = check_executor_parity(n_shards=2, n_jobs=80, seed=7)
-        assert result.identical, result.render()
-        assert result.sha_inprocess == result.sha_multiprocess
+        fleet = Cell(executor="inprocess", shards=2, jobs=80)
+        [result] = run_checks(
+            [Same(fleet, replace(fleet, executor="multiprocess"), ("fleet",))],
+            seed=7,
+        )
+        assert result.ok, result.render()
         assert "OK" in result.render()
 
     def test_manager_ops_agree_across_executors(self):
@@ -282,15 +286,17 @@ class TestFleetClient:
         assert err.code == "unknown_tenant"
         assert err.path == "/v1/jobs"
 
-    def test_old_envelope_parses_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="pre-v1 error envelope"):
+    def test_old_envelope_falls_to_unknown_code(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = parse_error(
                 400,
                 {"error": {"type": "schema_violation", "message": "bad",
                            "details": [{"path": "$.n_jobs"}]}},
             )
-        assert err.code == "schema_violation"
-        assert err.path == "$.n_jobs"
+        assert err.status == 400
+        assert err.code == "unknown"
+        assert "schema_violation" in str(err)
 
     def test_https_refused(self):
         with pytest.raises(ValueError, match="plain http"):
@@ -298,33 +304,25 @@ class TestFleetClient:
 
 
 # ----------------------------------------------------------------------
-# One-release aliases and loud failures
+# Expired aliases stay gone; loud failures
 # ----------------------------------------------------------------------
 class TestDeprecationAliases:
-    def test_tenant_alias_warns_and_is_tenantspec(self):
+    def test_tenant_alias_removed(self):
         import repro.fleet as fleet
         import repro.fleet.tenants as tenants_mod
 
         for module in (fleet, tenants_mod):
-            with pytest.warns(DeprecationWarning, match="TenantSpec"):
-                alias = module.Tenant
-            assert alias is TenantSpec
+            assert not hasattr(module, "Tenant")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                # What `from module import *` resolves.
+                for name in module.__all__:
+                    getattr(module, name)
 
-    def test_pretrain_samples_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="pretrain_jobs"):
-            config = FleetConfig(n_shards=2, pretrain_samples=33)
-        assert config.pretrain_jobs == 33
-
-    def test_pretrain_samples_property_warns(self):
-        config = FleetConfig(n_shards=2, pretrain_jobs=33)
-        with pytest.warns(DeprecationWarning, match="pretrain_jobs"):
-            assert config.pretrain_samples == 33
-
-    def test_both_pretrain_spellings_is_an_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="both"):
-                FleetConfig(pretrain_jobs=10, pretrain_samples=10)
+    def test_pretrain_samples_kwarg_rejected(self):
+        with pytest.raises(TypeError, match="pretrain_samples"):
+            FleetConfig(n_shards=2, pretrain_samples=33)
+        assert not hasattr(FleetConfig(n_shards=2), "pretrain_samples")
 
     def test_configs_reject_positional_construction(self):
         from repro.fleet import FleetLoadConfig

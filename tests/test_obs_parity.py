@@ -10,12 +10,21 @@ must be deterministic across repeated runs of the same seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis.determinism import ObsParityResult, check_obs_parity, hash_trace
+from repro.analysis.determinism import (
+    Cell,
+    CellRun,
+    Same,
+    hash_trace,
+    run_checks,
+)
 from repro.experiments.runner import make_scheduler
 from repro.obs import ObsConfig, ObsRuntime, attach_obs
 from repro.sim.environment import CloudBurstEnvironment
+from repro.sim.tracing import RunTrace
 from repro.workload.distributions import Bucket
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -62,26 +71,29 @@ class TestTraceParity:
 
 class TestCheckObsParity:
     def test_check_reports_invisible(self):
-        result = check_obs_parity(n_shards=2, n_jobs=80)
-        assert isinstance(result, ObsParityResult)
-        assert result.invisible
-        assert result.hash_plain == result.hash_obs
-        assert result.fleet_sha_plain == result.fleet_sha_obs
-        assert result.n_metric_families >= 10
-        assert result.spans_kept > 0
-        assert "OK" in result.render()
+        fleet = Cell(executor="inprocess", shards=2, jobs=80)
+        trace_result, fleet_result = run_checks(
+            [
+                Same(Cell(), Cell(obs=True), ("trace",)),
+                Same(fleet, replace(fleet, obs=True), ("fleet",)),
+            ]
+        )
+        assert trace_result.ok
+        assert fleet_result.ok
+        assert trace_result.counts["families"] >= 10
+        assert trace_result.counts["spans"] > 0
+        assert "OK" in trace_result.render()
+        assert "OK" in fleet_result.render()
 
     def test_render_flags_divergence(self):
-        broken = ObsParityResult(
-            scheduler="Op",
-            hash_plain="aaaa",
-            hash_obs="bbbb",
-            fleet_sha_plain="cccc",
-            fleet_sha_obs="cccc",
-            n_records=1,
-            n_metric_families=13,
-            spans_kept=1,
-            registry_sha="dddd",
+        trace = RunTrace()
+        runs = {
+            Cell(): CellRun(trace, {"trace": "aaaa"}, {"records": 1}),
+            Cell(obs=True): CellRun(trace, {"trace": "bbbb"}, {"records": 1}),
+        }
+        broken = Same(Cell(), Cell(obs=True), ("trace",)).verify(
+            lambda cell, fresh=False: runs[cell]
         )
-        assert not broken.invisible
+        assert not broken.ok
         assert "FAIL" in broken.render()
+        assert "trace aaaa vs bbbb" in broken.render()
