@@ -7,16 +7,24 @@ download bandwidth" — i.e. pay for far fewer machine-seconds without
 giving back the makespan.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import build_workload, run_one
-from repro.sim.autoscale import ECAutoScaler
+from repro.policy import attach_policy, load_policy_config
 from repro.sim.environment import SystemConfig
 from repro.workload.distributions import Bucket
 
 SPEC = ExperimentSpec(bucket=Bucket.LARGE, n_batches=5,
                       system=SystemConfig(seed=91, ec_machines=6))
+
+#: The queue-up / idle-down rule the example runs.
+QUEUE_DRIVEN = load_policy_config(
+    Path(__file__).resolve().parent.parent / "examples" / "policies"
+    / "queue-driven.json"
+)
 
 
 def _run_matrix():
@@ -25,24 +33,22 @@ def _run_matrix():
         spec = SPEC.with_seed(seed)
         batches = build_workload(spec)
         static = run_one("Op", spec, batches=batches)
-        scalers = []
+        envs = []
 
         def hook(env):
-            scalers.append(
-                ECAutoScaler(env.sim, env.ec, min_instances=1,
-                             max_instances=6, interval_s=60.0)
-            )
+            attach_policy(env, QUEUE_DRIVEN)
+            envs.append(env)
 
         elastic = run_one("Op", spec, batches=batches, env_hook=hook)
-        summary = scalers[0].summary()
+        steps = elastic.metadata["policy"]["summary"]["steps"]
         rows.append({
             "seed": seed,
             "static_mk": static.makespan,
             "elastic_mk": elastic.makespan,
             "static_cost": 6.0 * (static.end_time - static.arrival_time),
-            "elastic_cost": summary["rented_machine_s"],
-            "ups": summary["scale_ups"],
-            "downs": summary["scale_downs"],
+            "elastic_cost": envs[0].ec.rented_machine_seconds,
+            "ups": steps["launch"],
+            "downs": steps["drain"],
         })
     return rows
 

@@ -66,7 +66,6 @@ from .service import (
 )
 from .sim.engine import Simulator
 from .sim.environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
-from .sim.autoscale import ECAutoScaler
 from .sim.faults import OutageInjector, OutageWindow
 from .sim.tracing import JobRecord, Placement, RunTrace
 from .sim.validation import validate_trace
@@ -91,7 +90,7 @@ __all__ = [
     # sim
     "Simulator", "CloudBurstEnvironment", "SystemConfig", "ECSiteSpec",
     "RunTrace", "JobRecord", "Placement", "validate_trace",
-    "ECAutoScaler", "OutageInjector", "OutageWindow",
+    "OutageInjector", "OutageWindow",
     # workload
     "Bucket", "bucket_distribution", "DocumentFeatures", "Job", "JobType",
     "WorkloadGenerator", "WorkloadConfig", "Batch",

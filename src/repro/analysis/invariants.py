@@ -27,7 +27,8 @@ the whole test suite, which is exactly what CI does::
 
 Setting ``REPRO_INVARIANTS=1`` makes every
 :class:`~repro.sim.environment.CloudBurstEnvironment` install a checker on
-itself at construction; programmatic use is one call::
+itself at construction; programmatic use is one call (which returns the
+already-installed checker, if there is one)::
 
     from repro.analysis.invariants import install_invariants
     checker = install_invariants(env)
@@ -47,10 +48,11 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..sim.environment import CloudBurstEnvironment, RunPlugin
+
 if TYPE_CHECKING:  # imports for annotations only; no runtime cycle
     from ..metrics.streaming import StreamingSLAStats
     from ..sim.engine import Event
-    from ..sim.environment import CloudBurstEnvironment
     from ..sim.pipeline import PipelineItem, SizeQueue, TransferPipeline
     from ..sim.tracing import JobRecord, RunTrace
 
@@ -96,28 +98,23 @@ class InvariantStats:
         )
 
 
-class EnvironmentInvariants:
-    """One checker bound to one environment instance (single-use, like it)."""
+class EnvironmentInvariants(RunPlugin):
+    """One checker bound to one environment instance (single-use, like it).
 
-    def __init__(self, env: "CloudBurstEnvironment") -> None:
-        self.env = env
+    Besides the plugin lifecycle it hooks the engine's per-event and the
+    pipelines' per-transfer-start callbacks.
+    """
+
+    def __init__(self, env: CloudBurstEnvironment) -> None:
+        super().__init__(env)
         self.stats = InvariantStats()
         self._last_time = -math.inf
         self._last_seq = -1
         self._admitted = 0
         self._completed = 0
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def install(self) -> "EnvironmentInvariants":
-        """Attach to the environment's engine, pipelines and lifecycle."""
-        env = self.env
         env.sim.on_event = self._on_event
         for pipeline in self._pipelines():
             pipeline.on_transfer_start = self._on_transfer_start
-        env.invariants = self
-        return self
 
     def _pipelines(self) -> list["TransferPipeline"]:
         env = self.env
@@ -215,7 +212,7 @@ class EnvironmentInvariants:
                 f"(response {response}s)"
             )
 
-    def on_finish(self, trace: "RunTrace") -> None:
+    def finalize(self, trace: "RunTrace") -> None:
         """End-of-run accounting once the drain loop declares victory."""
         self.stats.finishes_checked += 1
         if self.env.jobs_in_system != 0:
@@ -249,6 +246,7 @@ class EnvironmentInvariants:
             )
 
 
-def install_invariants(env: "CloudBurstEnvironment") -> EnvironmentInvariants:
-    """Build and attach a checker to ``env``; returns it for introspection."""
-    return EnvironmentInvariants(env).install()
+def install_invariants(env: CloudBurstEnvironment) -> EnvironmentInvariants:
+    """The checker on ``env``, attaching one unless ``REPRO_INVARIANTS``
+    already did; returned for introspection."""
+    return env.plugin(EnvironmentInvariants) or EnvironmentInvariants(env)

@@ -11,10 +11,10 @@ and the per-run :class:`~repro.econ.penalties.CostLedger`
 
 :func:`attach_econ` is the single entry point: given a not-yet-driven
 :class:`~repro.sim.environment.CloudBurstEnvironment` and an
-:class:`EconConfig`, it wires meters into the environment's completion
-observers, optionally starts the spot price/preemption process inside
-the simulator's event loop, and arranges for the finalised ledger to
-land in ``trace.metadata["econ"]`` (with a stable ``ledger_sha256`` the
+:class:`EconConfig`, it attaches an :class:`EconRuntime` plugin whose
+completion hook feeds the meters, optionally starts the spot
+price/preemption process inside the simulator's event loop, and arranges
+for the finalised ledger to land in ``trace.metadata["econ"]`` (with a stable ``ledger_sha256`` the
 determinism gate checks). All econ randomness comes from its own seeded
 generator: attaching econ in metering-only form (no finite spot bid)
 leaves every job trace bit-for-bit identical to the un-metered run.
@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..sim.environment import CloudBurstEnvironment
+from ..obs import ObsRuntime
+from ..sim.environment import CloudBurstEnvironment, RunPlugin
 from ..sim.tracing import JobRecord, RunTrace
 
 if TYPE_CHECKING:  # runtime import would cycle through repro.metrics
@@ -93,15 +94,16 @@ class EconConfig:
         return CostModel(on_demand=self.on_demand, penalty=self.penalty)
 
 
-class EconRuntime:
+class EconRuntime(RunPlugin):
     """Live cost accounting attached to one environment.
 
     Owns the run's :class:`CostLedger`, the billing meter, and (when
     configured) the spot price process and preemption injector. Penalty
-    and usage accrual ride the environment's completion observers, in
-    completion order — deterministic, so the finalised ledger hash is a
-    run invariant.
+    and usage accrual ride :meth:`on_complete`, in completion order —
+    deterministic, so the finalised ledger hash is a run invariant.
     """
+
+    key = "econ"
 
     def __init__(
         self,
@@ -109,7 +111,7 @@ class EconRuntime:
         config: EconConfig,
         stats: Optional["StreamingSLAStats"] = None,
     ) -> None:
-        self.env = env
+        super().__init__(env)
         self.config = config
         self.stats = stats
         self.ledger = CostLedger()
@@ -139,7 +141,6 @@ class EconRuntime:
         )
         if config.billing == "pool":
             self.meter.watch(env.ec)
-        env.completion_observers.append(self._on_complete)
 
     @property
     def cost_model(self) -> CostModel:
@@ -148,10 +149,11 @@ class EconRuntime:
     def _on_preempt(self, item: object, elapsed_s: float) -> None:
         self.ledger.preemptions += 1
         self.ledger.lost_work_s += elapsed_s
-        if self.env.obs is not None:
-            self.env.obs.on_preempt(elapsed_s, self.env.sim.now)
+        obs = self.env.plugin(ObsRuntime)
+        if obs is not None:
+            obs.on_preempt(elapsed_s, self.env.sim.now)
 
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         self.ledger.completed += 1
         self.meter.on_record_complete(record)
         penalty_usd = self.config.penalty.penalty_usd(record)
@@ -162,7 +164,7 @@ class EconRuntime:
                 self.stats.on_penalty(penalty_usd)
 
     def finalize(self, trace: RunTrace) -> dict[str, object]:
-        """Close the books; returns the metadata block for the trace."""
+        """Close the books; returns the ``trace.metadata["econ"]`` block."""
         self.meter.close_all(trace.end_time)
         transfer_usd = 0.0
         for record in trace.records:
@@ -192,8 +194,4 @@ def attach_econ(
     :class:`~repro.metrics.streaming.StreamingSLAStats` to receive
     per-penalty accruals for the broker's live counters.
     """
-    if env.econ is not None:
-        raise RuntimeError("econ already attached to this environment")
-    runtime = EconRuntime(env, config if config is not None else EconConfig(), stats)
-    env.econ = runtime
-    return runtime
+    return EconRuntime(env, config if config is not None else EconConfig(), stats)

@@ -14,8 +14,8 @@ supports both through ``quantum_s`` and accrues into the run's
 * ``"pool"`` — rental billing: every machine in the watched cluster runs
   a rental session from the moment it joins the pool to the moment it
   retires (or the run ends), invoiced whether busy or idle. This is the
-  model that makes :class:`~repro.sim.autoscale.ECAutoScaler` decisions
-  visible as money, wired through the cluster's machine lifecycle hooks.
+  model that makes :mod:`repro.policy` scaling decisions visible as
+  money, wired through the cluster's machine lifecycle hooks.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from ..core.baselines import RandomBurstScheduler, ThresholdScheduler
 from ..core.multi_ec import MultiECGreedyScheduler, MultiECOrderPreservingScheduler
 from ..core.greedy import GreedyScheduler
 from ..core.ic_only import ICOnlyScheduler
+from ..econ import EconRuntime
 from ..econ.policy import CostAwareScheduler
 from ..core.order_preserving import OrderPreservingScheduler
 from ..core.ticket_aware import TicketAwareScheduler
@@ -50,7 +51,9 @@ SCHEDULER_FACTORIES: dict[str, Callable[[CloudBurstEnvironment], Scheduler]] = {
     # the default cost model.
     "CostAware": lambda env: CostAwareScheduler(
         env.estimator,
-        cost_model=env.econ.cost_model if env.econ is not None else None,
+        cost_model=(
+            econ.cost_model if (econ := env.plugin(EconRuntime)) is not None else None
+        ),
     ),
 }
 

@@ -11,9 +11,8 @@ typed, unit-suffixed, and stable across executors. Failures raise
 
     {"error": {"code": "...", "message": "...", "path": "..."}}
 
-One release of backward compatibility: servers still emitting the
-pre-PR-8 envelope (``type``/``details`` keys) are parsed too, behind a
-``DeprecationWarning``.
+Any other error body (including the retired ``type``/``details``
+envelope) surfaces as ``code="unknown"`` carrying the raw payload.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ Determinism contract (the whole point of the design):
 Multi-tenancy inside one shard: each submission group passes its
 tenant's derived :class:`~repro.service.policy.SLAPolicy` to
 :meth:`BurstBroker.submit` (promise pricing per SLA class), quota is
-checked before the broker ever sees the jobs, and a completion observer
+checked before the broker ever sees the jobs, and the shard's own
+completion hook (it is a :class:`~repro.sim.environment.RunPlugin`)
 routes penalties — priced by the *tenant's* scaled schedule — into both
 the shard ledger and the tenant's own :class:`~repro.econ.penalties.
 CostLedger`.
@@ -46,7 +47,7 @@ from ..policy.runtime import PolicyConfig, PolicyRuntime, attach_policy
 from ..service.broker import BurstBroker, SubmissionOutcome
 from ..service.policy import AdmissionDecision, AdmissionResult, SLAPolicy
 from ..service.quotes import SLAQuote, quote_job
-from ..sim.environment import CloudBurstEnvironment, SystemConfig
+from ..sim.environment import CloudBurstEnvironment, RunPlugin, SystemConfig
 from ..sim.tracing import JobRecord, RunTrace
 from ..workload.distributions import Bucket
 from ..workload.document import Job
@@ -180,8 +181,15 @@ class ShardResult:
     policy: Optional[dict[str, object]] = None
 
 
-class BrokerShard:
-    """One broker partition: environment + session + per-tenant books."""
+class BrokerShard(RunPlugin):
+    """One broker partition: environment + session + per-tenant books.
+
+    The shard is itself a plugin on its environment: completions land in
+    its tenant books, and ``finalize`` closes them with the transfer
+    charges and stamps the ``trace.metadata["fleet_shard"]`` block.
+    """
+
+    key = "fleet_shard"
 
     def __init__(
         self,
@@ -192,7 +200,7 @@ class BrokerShard:
         self.index = index
         self.config = config
         self.seed = config.shard_seed(index)
-        self.env = CloudBurstEnvironment(config.system.with_seed(self.seed))
+        super().__init__(CloudBurstEnvironment(config.system.with_seed(self.seed)))
         #: Telemetry rides along unless the fleet disables it; strictly
         #: an observer, so this cannot move any digest (the ``check
         #: obs`` parity pass pins that).
@@ -244,7 +252,6 @@ class BrokerShard:
         )
         self._next_job_id = 0
         self._next_group_id = 0
-        self.env.completion_observers.append(self._on_complete)
 
     # ------------------------------------------------------------------
     @property
@@ -363,7 +370,7 @@ class BrokerShard:
     # ------------------------------------------------------------------
     # Completion side
     # ------------------------------------------------------------------
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         """Attribute one completed record to its tenant's books.
 
         Chunking schedulers split admitted jobs into sub-records that
@@ -387,10 +394,8 @@ class BrokerShard:
             self.ledger.penalty_usd += penalty_usd
             self.stats.on_penalty(penalty_usd)
 
-    # ------------------------------------------------------------------
-    def finish(self) -> ShardResult:
-        """Drain the shard and close its books."""
-        trace = self.broker.finish()
+    def finalize(self, trace: RunTrace) -> dict[str, object]:
+        """Charge transfers to the books; the ``"fleet_shard"`` block."""
         for record in trace.records:
             if record.bursted and record.completed:
                 usd = self.config.on_demand.transfer_usd(
@@ -400,11 +405,12 @@ class BrokerShard:
                 tenant_id = self._job_tenant.get(record.job_id)
                 if tenant_id is not None:
                     self.accounts[tenant_id].ledger.transfer_usd += usd
-        trace.metadata["fleet_shard"] = {
-            "index": self.index,
-            "seed": self.seed,
-            "tenants": self.tenant_ids,
-        }
+        return {"index": self.index, "seed": self.seed, "tenants": self.tenant_ids}
+
+    # ------------------------------------------------------------------
+    def finish(self) -> ShardResult:
+        """Drain the shard and close its books."""
+        trace = self.broker.finish()
         return ShardResult(
             index=self.index,
             seed=self.seed,

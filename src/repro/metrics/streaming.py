@@ -117,8 +117,10 @@ class StreamingSLAStats:
     """Incrementally maintained SLA attainment for one broker session.
 
     Admission-side counters are fed by the broker as it decides; the
-    completion-side counters are fed from the environment's
-    ``on_job_complete`` hook. ``promise_s`` on the completed record links
+    completion-side counters by the broker's plugin completion hook
+    (:meth:`on_complete`), and penalties by econ or a fleet shard
+    (:meth:`on_penalty`) — disjoint fields, so the order those plugins
+    fire in cannot move a result. ``promise_s`` on the completed record links
     the two: attainment is measured against the promise *sold at admission*,
     never re-derived after the fact.
     """

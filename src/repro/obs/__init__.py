@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..common import Placement
-from ..sim.environment import CloudBurstEnvironment
+from ..core.base import BatchPlan
+from ..sim.environment import CloudBurstEnvironment, RunPlugin
 from ..sim.tracing import JobRecord, RunTrace
 from .exposition import (
     MetricFamilySamples,
@@ -90,22 +91,24 @@ class ObsConfig:
     qrsm_error_ratio_buckets: tuple[float, ...] = DEFAULT_RATIO_BUCKETS
 
 
-class ObsRuntime:
+class ObsRuntime(RunPlugin):
     """Live telemetry attached to one environment.
 
     Registers the sim-plane metric catalogue, caches hot-path label
-    series once, and rides the environment's completion observers plus
-    explicit hook calls from the batch handler (plans), the broker
-    (admission) and the econ preemption injector. ``finalize`` stamps
+    series once, and rides the plugin lifecycle (plans and completions)
+    plus explicit hook calls from the broker (admission), the policy
+    converger and the econ preemption injector. ``finalize`` stamps
     engine gauges and returns the ``trace.metadata["obs"]`` block.
     """
+
+    key = "obs"
 
     def __init__(
         self,
         env: CloudBurstEnvironment,
         config: Optional[ObsConfig] = None,
     ) -> None:
-        self.env = env
+        super().__init__(env)
         self.config = config if config is not None else ObsConfig()
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(
@@ -207,10 +210,9 @@ class ObsRuntime:
             "repro_engine_heap_compactions",
             "Event-heap compactions over the run (stamped at finalize).",
         )
-        env.completion_observers.append(self._on_complete)
 
     # -- hook points ------------------------------------------------------
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         bursted = record.bursted
         (self._completed_ec if bursted else self._completed_ic).inc()
         if record.rescheduled:
@@ -254,8 +256,9 @@ class ObsRuntime:
                 },
             )
 
-    def on_plan(self, n_jobs: int, n_bursted: int, at_s: float) -> None:
-        """Called by the batch handler after ``plan_online`` returns."""
+    def on_plan(self, plan: BatchPlan) -> None:
+        n_jobs = len(plan.decisions)
+        n_bursted = plan.n_bursted
         self._plan_batches.inc()
         if n_bursted:
             self._plan_burst.inc(float(n_bursted))
@@ -264,7 +267,7 @@ class ObsRuntime:
             self._plan_hold.inc(float(held))
         self.spans.point(
             "plan",
-            at_s,
+            self.env.sim.now,
             {"n_jobs": n_jobs, "n_bursted": n_bursted},
         )
 
@@ -315,7 +318,7 @@ class ObsRuntime:
 
     # -- finalize ---------------------------------------------------------
     def finalize(self, trace: RunTrace) -> dict[str, object]:
-        """Stamp engine gauges; returns the metadata block for the trace."""
+        """Stamp engine gauges; returns the ``trace.metadata["obs"]`` block."""
         self._events_gauge.set(float(self.env.sim.events_processed))
         self._compactions_gauge.set(float(self.env.sim.compactions))
         snapshot = self.registry.snapshot()
@@ -336,13 +339,9 @@ def attach_obs(
     """Arm telemetry on a freshly built environment.
 
     Mirrors :func:`repro.econ.attach_econ`: attach before the
-    environment is driven, at most once. The runtime lands on
-    ``env.obs`` where the batch handler, broker and econ injector find
-    it; its finalized output lands in ``trace.metadata["obs"]``,
-    outside every determinism digest.
+    environment is driven, at most once. The broker, policy runtime and
+    econ injector find it with ``env.plugin(ObsRuntime)``; its finalized
+    output lands in ``trace.metadata["obs"]``, outside every determinism
+    digest.
     """
-    if env.obs is not None:
-        raise RuntimeError("obs already attached to this environment")
-    runtime = ObsRuntime(env, config)
-    env.obs = runtime
-    return runtime
+    return ObsRuntime(env, config)

@@ -19,9 +19,6 @@ settled on. Three layers:
   one environment; the audit log lands in unhashed
   ``trace.metadata["policy"]`` and the ``repro check`` policy pass
   double-runs it.
-
-The legacy :class:`repro.sim.autoscale.ECAutoScaler` is now a thin
-compat adapter over this package.
 """
 
 from .converge import (

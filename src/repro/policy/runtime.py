@@ -1,12 +1,13 @@
 """Attach a policy-driven converger to one environment.
 
 Mirrors the :func:`repro.econ.attach_econ` / :func:`repro.obs.attach_obs`
-idiom — one entry point (:func:`attach_policy`), one runtime object on a
-dedicated environment slot (``env.policy``), and a finalisation block
-stamped into ``trace.metadata["policy"]`` outside every digest. Unlike
-econ and obs, the policy plane is *not* a pure observer: the converger
-scales the EC pool by design. The determinism contract is therefore
-two-sided (the ``repro check`` policy pass enforces both):
+idiom — one entry point (:func:`attach_policy`), one
+:class:`~repro.sim.environment.RunPlugin` on the environment, and a
+finalisation block stamped into ``trace.metadata["policy"]`` outside
+every digest. Unlike econ and obs, the policy plane is *not* a pure
+observer: the converger scales the EC pool by design. The determinism
+contract is therefore two-sided (the ``repro check`` policy pass
+enforces both):
 
 * **not attached** — runs are bit-identical to the seed; nothing here
   executes;
@@ -23,13 +24,12 @@ into :class:`repro.fleet.FleetConfig` for multiprocess shards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # runtime import would cycle: sim.autoscale -> policy
-    # -> econ -> service -> experiments -> metrics, while repro.sim is
-    # still initialising. The schedule is bound lazily at attach time.
-    from ..econ.penalties import PenaltySchedule
-    from ..sim.environment import CloudBurstEnvironment
+from ..econ import EconRuntime
+from ..econ.penalties import PenaltySchedule
+from ..obs import ObsRuntime
+from ..sim.environment import CloudBurstEnvironment, RunPlugin
 from ..sim.tracing import JobRecord, RunTrace
 from .converge import ConvergenceDecision, Converger, ConvergerConfig
 from .model import PolicySet, ScalingPolicy
@@ -65,10 +65,10 @@ class PolicyConfig:
         }
 
 
-class PolicyRuntime:
+class PolicyRuntime(RunPlugin):
     """One environment's policy plane: converger + SLA/spend taps.
 
-    SLA attainment is counted by this runtime's own completion observer
+    SLA attainment is counted by this runtime's own :meth:`on_complete`
     (using the attached econ penalty schedule when there is one, the
     default schedule otherwise), so ``"sla"``-triggered policies work
     with or without cost accounting. Spend comes straight from the econ
@@ -76,14 +76,13 @@ class PolicyRuntime:
     quiet by contract.
     """
 
-    def __init__(self, env: "CloudBurstEnvironment", config: PolicyConfig) -> None:
-        from ..econ.penalties import PenaltySchedule
+    key = "policy"
 
-        self.env = env
+    def __init__(self, env: CloudBurstEnvironment, config: PolicyConfig) -> None:
+        super().__init__(env)
         self.config = config
-        self._penalty: PenaltySchedule = (
-            env.econ.config.penalty if env.econ is not None else PenaltySchedule()
-        )
+        econ = env.plugin(EconRuntime)
+        self._penalty = econ.config.penalty if econ is not None else PenaltySchedule()
         self._completed = 0
         self._violations = 0
         self.converger = Converger(
@@ -95,7 +94,6 @@ class PolicyRuntime:
             spend_usd=self.spend_usd,
             on_decision=self._on_decision,
         )
-        env.completion_observers.append(self._on_complete)
         if config.enabled and config.policies:
             self.converger.start()
 
@@ -110,24 +108,24 @@ class PolicyRuntime:
         return (self._completed - self._violations) / self._completed
 
     def spend_usd(self) -> Optional[float]:
-        if self.env.econ is None:
-            return None
-        return self.env.econ.ledger.total_usd
+        econ = self.env.plugin(EconRuntime)
+        return econ.ledger.total_usd if econ is not None else None
 
     # ------------------------------------------------------------------
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         self._completed += 1
         if self._penalty.penalty_usd(record) > 0:
             self._violations += 1
 
     def _on_decision(self, decision: ConvergenceDecision) -> None:
-        if self.env.obs is None:
+        obs = self.env.plugin(ObsRuntime)
+        if obs is None:
             return
         steps: dict[str, int] = {}
         for step in decision.steps:
             if step.ok:
                 steps[step.kind] = steps.get(step.kind, 0) + 1
-        self.env.obs.on_converge(
+        obs.on_converge(
             desired=decision.desired,
             observed=decision.basis,
             steps=steps,
@@ -159,7 +157,7 @@ class PolicyRuntime:
 
 
 def attach_policy(
-    env: "CloudBurstEnvironment", config: Optional[PolicyConfig] = None
+    env: CloudBurstEnvironment, config: Optional[PolicyConfig] = None
 ) -> PolicyRuntime:
     """Arm the policy plane on a freshly built environment.
 
@@ -168,8 +166,4 @@ def attach_policy(
     accounting is wanted — cost triggers and the penalty schedule bind
     to whatever is attached at this moment.
     """
-    if env.policy is not None:
-        raise RuntimeError("policy already attached to this environment")
-    runtime = PolicyRuntime(env, config if config is not None else PolicyConfig())
-    env.policy = runtime
-    return runtime
+    return PolicyRuntime(env, config if config is not None else PolicyConfig())

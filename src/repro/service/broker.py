@@ -24,7 +24,7 @@ One submission runs four steps:
    the simulated system.
 4. **Dispatch** — admitted jobs go to the scheduler through the shared
    online path (:meth:`repro.core.base.Scheduler.plan_online` via
-   :meth:`CloudBurstEnvironment.submit_online`), and the promises sold are
+   :meth:`repro.sim.environment.Session.submit`), and the promises sold are
    stamped onto the live records so completion-side counters score against
    exactly what was quoted.
 """
@@ -34,10 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from ..analysis.invariants import EnvironmentInvariants
 from ..core.base import Scheduler
 from ..metrics.streaming import StreamingSLAStats
-from ..sim.environment import CloudBurstEnvironment
-from ..sim.tracing import RunTrace
+from ..obs import ObsRuntime
+from ..sim.environment import CloudBurstEnvironment, RunPlugin
+from ..sim.tracing import JobRecord, RunTrace
 from ..workload.document import Job
 from .policy import AdmissionResult, SLAPolicy
 from .quotes import SLAQuote, quote_job
@@ -58,13 +60,17 @@ class SubmissionOutcome:
         return self.result.admitted
 
 
-class BurstBroker:
+class BurstBroker(RunPlugin):
     """Online SLA-quoting admission broker over one environment instance.
 
     Like the environment it wraps, a broker is single-session: construct,
     submit arrivals in non-decreasing time order, then :meth:`finish` to
-    drain in-flight work and collect the :class:`RunTrace`.
+    drain in-flight work and collect the :class:`RunTrace`. As a plugin it
+    feeds completions into :attr:`stats` and closes the run with the
+    ``trace.metadata["admission"]`` block.
     """
+
+    key = "admission"
 
     def __init__(
         self,
@@ -73,12 +79,11 @@ class BurstBroker:
         policy: Optional[SLAPolicy] = None,
         stats: Optional[StreamingSLAStats] = None,
     ) -> None:
-        self.env = env
+        super().__init__(env)
         self.scheduler = scheduler
         self.policy = policy if policy is not None else SLAPolicy()
         self.stats = stats if stats is not None else StreamingSLAStats()
         self._session = env.session(scheduler)
-        env.on_job_complete = self.stats.on_complete
         self._finished = False
         self._last_arrival = -float("inf")
 
@@ -126,6 +131,7 @@ class BurstBroker:
         self._last_arrival = self.now
 
         state = self.env.build_state()
+        obs = self.env.plugin(ObsRuntime)
         outcomes: list[SubmissionOutcome] = []
         admitted: list[tuple[Job, SLAQuote]] = []
         in_system = self.env.jobs_in_system
@@ -138,8 +144,8 @@ class BurstBroker:
                 admitted.append((job, quote))
                 in_system += 1
             self.stats.on_admission(result.decision, result.reason)
-            if self.env.obs is not None:
-                self.env.obs.on_admission(result.decision, result.reason, self.now)
+            if obs is not None:
+                obs.on_admission(result.decision, result.reason, self.now)
             outcomes.append(SubmissionOutcome(job=job, quote=quote, result=result))
 
         if admitted:
@@ -164,14 +170,20 @@ class BurstBroker:
         if self._finished:
             raise RuntimeError("broker session already finished")
         self._finished = True
-        if self.env.invariants is not None:
-            self.env.invariants.check_broker_counters(self.stats)
-        trace = self._session.finish()
-        trace.metadata["admission"] = {
+        return self._session.finish()
+
+    def on_complete(self, record: JobRecord) -> None:
+        self.stats.on_complete(record)
+
+    def finalize(self, trace: RunTrace) -> dict[str, object]:
+        """The ``trace.metadata["admission"]`` block."""
+        checker = self.env.plugin(EnvironmentInvariants)
+        if checker is not None:
+            checker.check_broker_counters(self.stats)
+        return {
             "submitted": self.stats.submitted,
             "accepted": self.stats.accepted,
             "accepted_degraded": self.stats.accepted_degraded,
             "rejected": self.stats.rejected,
             "rejections_by_reason": dict(self.stats.rejections_by_reason),
         }
-        return trace

@@ -1,6 +1,5 @@
 """Discrete-event simulation substrate: engine, clusters, network, pipelines."""
 
-from .autoscale import ECAutoScaler
 from .cluster import Cluster, QueuedWork
 from .engine import Event, SimulationError, Simulator
 from .environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
@@ -18,7 +17,6 @@ __all__ = [
     "TransferPipeline", "SizeQueue", "PipelineItem",
     "CloudBurstEnvironment", "SystemConfig", "ECSiteSpec",
     "OutageInjector", "OutageWindow", "random_outage_schedule",
-    "ECAutoScaler",
     "RunTrace", "JobRecord", "Placement",
     "validate_trace", "TraceInvariantError",
 ]

@@ -16,8 +16,8 @@ The environment is the only component that knows the *ground truth*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,11 +36,9 @@ from .pipeline import TransferPipeline
 from .resources import Machine
 from .tracing import JobRecord, Placement, RunTrace
 
-if TYPE_CHECKING:  # runtime import would cycle (econ/obs import this module)
-    from ..econ import EconRuntime
-    from ..obs import ObsRuntime
+__all__ = ["ECSiteSpec", "SystemConfig", "RunPlugin", "CloudBurstEnvironment", "Session"]
 
-__all__ = ["ECSiteSpec", "SystemConfig", "CloudBurstEnvironment", "Session"]
+P = TypeVar("P", bound="RunPlugin")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -168,6 +166,47 @@ class _SiteRuntime:
     down_tuner: ThreadTuner
 
 
+class RunPlugin:
+    """Something that watches (or steers) one environment's run.
+
+    Cost accounting, telemetry, the policy converger, the invariant
+    checker, the online broker and a fleet shard's tenant books all ride
+    the same lifecycle: constructing a plugin attaches it to
+    ``env.plugins``, the environment calls :meth:`on_plan` after every
+    scheduler plan, :meth:`on_admit` and :meth:`on_complete` per job unit,
+    and :meth:`finalize` once when the run closes — in attach order. A
+    non-``None`` :meth:`finalize` block lands in ``trace.metadata[key]``,
+    outside every trace digest.
+
+    Subclasses call ``super().__init__(env)`` before scheduling anything,
+    so a refused attach leaves the event heap untouched.
+    """
+
+    #: The ``trace.metadata`` key of this plugin's :meth:`finalize` block.
+    key: ClassVar[Optional[str]] = None
+
+    def __init__(self, env: "CloudBurstEnvironment") -> None:
+        if any(type(p) is type(self) for p in env.plugins):
+            raise RuntimeError(
+                f"{type(self).__name__} already attached to this environment"
+            )
+        env.plugins.append(self)
+        self.env = env
+
+    def on_plan(self, plan: BatchPlan) -> None:
+        """A batch was planned (before its decisions are admitted)."""
+
+    def on_admit(self, record: JobRecord) -> None:
+        """A job unit was admitted (before it is dispatched)."""
+
+    def on_complete(self, record: JobRecord) -> None:
+        """A job unit completed, with its final record."""
+
+    def finalize(self, trace: RunTrace) -> Optional[dict[str, object]]:
+        """The run closed; returns this plugin's metadata block, if any."""
+        return None
+
+
 class CloudBurstEnvironment:
     """One runnable instance of the simulated hybrid cloud.
 
@@ -272,35 +311,9 @@ class CloudBurstEnvironment:
         self._batches_arrived = 0
         self._trace: Optional[RunTrace] = None
         self._scheduler: Optional[Scheduler] = None
-        self._session: Optional["Session"] = None
         self._t0 = self.sim.now
-        #: Optional observer fired at every job completion with the final
-        #: :class:`JobRecord` — the online broker's streaming SLA counters
-        #: hang off this.
-        self.on_job_complete: Optional[Callable[[JobRecord], None]] = None
-        #: Additional completion observers (fan-out, fired after
-        #: ``on_job_complete``) — the econ subsystem's penalty/billing
-        #: accrual registers here without displacing the broker's slot.
-        self.completion_observers: list[Callable[[JobRecord], None]] = []
-        #: Attached :class:`repro.econ.EconRuntime`, when cost accounting
-        #: is enabled for this run (:func:`repro.econ.attach_econ`).
-        self.econ: Optional["EconRuntime"] = None
-        #: Attached :class:`repro.obs.ObsRuntime`, when telemetry is
-        #: enabled for this run (:func:`repro.obs.attach_obs`). Strictly
-        #: an observer: its hooks read simulation state, never steer it,
-        #: and its output lands in unhashed ``trace.metadata["obs"]``.
-        self.obs: Optional["ObsRuntime"] = None
-        #: Attached :class:`repro.policy.PolicyRuntime`, when a
-        #: declarative scaling policy drives the EC pool for this run
-        #: (:func:`repro.policy.attach_policy`). Unlike econ/obs it is
-        #: allowed to steer the simulation (it scales machines); its
-        #: audit log still lands in unhashed ``trace.metadata["policy"]``.
-        self.policy = None
-        #: Runtime invariant checker, when installed
-        #: (:func:`repro.analysis.invariants.install_invariants`); gets
-        #: first-class lifecycle calls so observers above stay free for
-        #: callers.
-        self.invariants = None
+        #: Attached :class:`RunPlugin` instances, in attach order.
+        self.plugins: list[RunPlugin] = []
 
         if config.enable_ic_pull:
             self.ic.on_idle = self._on_ic_idle
@@ -566,15 +579,18 @@ class CloudBurstEnvironment:
                 "up_probes": self.up_probe.n_probes,
             }
         )
-        if self.econ is not None:
-            trace.metadata["econ"] = self.econ.finalize(trace)
-        if self.obs is not None:
-            trace.metadata["obs"] = self.obs.finalize(trace)
-        if self.policy is not None:
-            trace.metadata["policy"] = self.policy.finalize(trace)
-        if self.invariants is not None:
-            self.invariants.on_finish(trace)
+        for plugin in self.plugins:
+            block = plugin.finalize(trace)
+            if block is not None:
+                trace.metadata[plugin.key] = block
         return trace
+
+    def plugin(self, cls: type[P]) -> Optional[P]:
+        """The attached plugin of type ``cls``, if any."""
+        for plugin in self.plugins:
+            if isinstance(plugin, cls):
+                return plugin
+        return None
 
     def session(self, scheduler: Scheduler) -> "Session":
         """Open the unified driving :class:`Session` for this environment.
@@ -591,8 +607,7 @@ class CloudBurstEnvironment:
                 s.submit(more_jobs, at=12.5)
             trace = s.trace
 
-        :meth:`run` and the legacy ``start_online`` / ``submit_online`` /
-        ``finish_online`` triple are thin wrappers over this.
+        :meth:`run` is a thin wrapper over this.
         """
         return Session(self, scheduler)
 
@@ -600,41 +615,6 @@ class CloudBurstEnvironment:
         """Simulate the whole workload under ``scheduler``; returns the trace."""
         with self.session(scheduler) as s:
             return s.run_batches(batches)
-
-    # ------------------------------------------------------------------
-    # Online (broker-driven) orchestration — thin wrappers over Session
-    # ------------------------------------------------------------------
-    def start_online(self, scheduler: Scheduler) -> None:
-        """Open an online session: jobs will arrive via :meth:`submit_online`.
-
-        The caller owns the virtual clock — it advances the simulator with
-        :meth:`repro.sim.engine.Simulator.run_until` to each arrival instant
-        and then submits. ``trace.arrival_time`` is stamped by the first
-        submission. Equivalent to holding the :meth:`session` handle; new
-        code should prefer that API.
-        """
-        self._session = self.session(scheduler)
-
-    def submit_online(
-        self,
-        jobs: Sequence[Job],
-        batch_id: Optional[int] = None,
-        state: Optional[SystemState] = None,
-    ) -> BatchPlan:
-        """Plan and dispatch jobs arriving *now*; returns the plan.
-
-        Thin wrapper over :meth:`Session.submit` for the session opened by
-        :meth:`start_online`; see there for semantics.
-        """
-        if self._session is None:
-            raise RuntimeError("call start_online() before submit_online()")
-        return self._session.submit(jobs, batch_id=batch_id, state=state)
-
-    def finish_online(self) -> RunTrace:
-        """Drain all in-flight work and return the completed trace."""
-        if self._session is None:
-            raise RuntimeError("no online session to finish")
-        return self._session.finish()
 
     @property
     def jobs_in_system(self) -> int:
@@ -668,8 +648,8 @@ class CloudBurstEnvironment:
         if state is None:
             state = self.build_state()
         plan = self._scheduler.plan_online(list(batch.jobs), state)
-        if self.obs is not None:
-            self.obs.on_plan(len(plan.decisions), plan.n_bursted, self.sim.now)
+        for plugin in self.plugins:
+            plugin.on_plan(plan)
         if plan.upload_bounds is not None:
             self.upload.set_size_bounds(*plan.upload_bounds)
         for decision in plan.decisions:
@@ -707,8 +687,8 @@ class CloudBurstEnvironment:
             self._open_ec[job.key] = st
         self._trace.records.append(record)
         self._remaining += 1
-        if self.invariants is not None:
-            self.invariants.on_admit(record)
+        for plugin in self.plugins:
+            plugin.on_admit(record)
         if placement == Placement.IC:
             self._dispatch_ic(job)
         else:
@@ -802,12 +782,8 @@ class CloudBurstEnvironment:
         self._remaining -= 1
         self._open.pop(st.job.key, None)
         self._open_ec.pop(st.job.key, None)
-        if self.invariants is not None:
-            self.invariants.on_complete(st.record)
-        if self.on_job_complete is not None:
-            self.on_job_complete(st.record)
-        for observer in self.completion_observers:
-            observer(st.record)
+        for plugin in self.plugins:
+            plugin.on_complete(st.record)
 
     # ------------------------------------------------------------------
     # Rescheduling strategies (Section IV.D, optional)
@@ -870,14 +846,13 @@ class CloudBurstEnvironment:
 class Session:
     """Unified offline/online driving handle over one environment.
 
-    A session owns the run lifecycle that used to be split between
-    ``CloudBurstEnvironment.run`` (offline batch replay) and the
-    ``start_online`` / ``submit_online`` / ``finish_online`` triple: it
-    begins the trace at construction, accepts work either as one
-    pre-generated batch sequence (:meth:`run_batches`) or as incremental
-    submissions against the advancing virtual clock (:meth:`submit`), and
-    finalises exactly once (:meth:`finish`, or implicitly on clean ``with``
-    exit). Like the environment it drives, a session is single-use.
+    A session owns the run lifecycle of both offline batch replay
+    (``CloudBurstEnvironment.run``) and online serving: it begins the
+    trace at construction, accepts work either as one pre-generated batch
+    sequence (:meth:`run_batches`) or as incremental submissions against
+    the advancing virtual clock (:meth:`submit`), and finalises exactly
+    once (:meth:`finish`, or implicitly on clean ``with`` exit). Like the
+    environment it drives, a session is single-use.
 
     The two styles produce trace-identical results for the same workload
     (pinned by ``tests/test_service.py``): submissions take the same state

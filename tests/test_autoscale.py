@@ -1,4 +1,5 @@
-"""Elastic EC autoscaler and elastic-cluster mechanics tests."""
+"""Elastic EC autoscaling (queue-driven scaling policy) and
+elastic-cluster mechanics tests."""
 
 from __future__ import annotations
 
@@ -7,11 +8,53 @@ import pytest
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import build_workload, run_one
 from repro.metrics.sla import summarize
-from repro.sim.autoscale import ECAutoScaler
+from repro.policy import (
+    Converger,
+    ConvergerConfig,
+    PolicyConfig,
+    PolicySet,
+    ScalingPolicy,
+    attach_policy,
+)
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.sim.environment import SystemConfig
 from repro.workload.distributions import Bucket
+
+
+def queue_driven(
+    *,
+    min_capacity: int = 1,
+    max_capacity: int = 8,
+    interval_s: float = 60.0,
+    queue_at_least: int = 1,
+    sustain_periods: int = 2,
+) -> PolicyConfig:
+    """The queue-up / sustained-idle-down rule as data: one machine up
+    while ``queue_at_least`` jobs queue, one down after
+    ``sustain_periods`` idle ticks, on the gross (billed) basis."""
+    bounds = {"min_capacity": min_capacity, "max_capacity": max_capacity}
+    return PolicyConfig(
+        policies=(
+            ScalingPolicy(
+                name="queue-up", trigger="queue", action="step_up",
+                queue_at_least=queue_at_least, severity=10, **bounds,
+            ),
+            ScalingPolicy(
+                name="idle-down", trigger="idle", action="step_down",
+                sustain_periods=sustain_periods, **bounds,
+            ),
+        ),
+        converger=ConvergerConfig(
+            interval_s=interval_s, basis="gross", delete_offline=False
+        ),
+    )
+
+
+def start_converger(sim, cluster, config: PolicyConfig) -> Converger:
+    converger = Converger(sim, cluster, PolicySet(config.policies), config.converger)
+    converger.start()
+    return converger
 
 
 class TestElasticCluster:
@@ -88,38 +131,39 @@ class TestElasticCluster:
 
 class TestAutoScaler:
     def test_validation(self):
-        sim = Simulator()
-        c = Cluster(sim, "c", 2)
         with pytest.raises(ValueError):
-            ECAutoScaler(sim, c, min_instances=0)
+            queue_driven(min_capacity=0)
         with pytest.raises(ValueError):
-            ECAutoScaler(sim, c, min_instances=3, max_instances=2)
+            queue_driven(min_capacity=3, max_capacity=2)
         with pytest.raises(ValueError):
-            ECAutoScaler(sim, c, interval_s=0.0)
+            queue_driven(interval_s=0.0)
 
     def test_scales_up_under_queue_pressure(self):
         sim = Simulator()
         c = Cluster(sim, "c", 1)
-        scaler = ECAutoScaler(sim, c, max_instances=4, interval_s=10.0)
+        converger = start_converger(
+            sim, c, queue_driven(max_capacity=4, interval_s=10.0)
+        )
         for k in range(6):
             c.submit(k, 500.0, lambda i, m: None)
         sim.run(until=100.0)
         assert c.n_machines > 1
-        assert any(e.action == "up" for e in scaler.events)
+        assert converger.step_totals()["launch"] > 0
 
     def test_scales_down_when_idle(self):
         sim = Simulator()
         c = Cluster(sim, "c", 4)
-        scaler = ECAutoScaler(sim, c, min_instances=1, interval_s=10.0,
-                              idle_periods_before_down=2)
+        converger = start_converger(
+            sim, c, queue_driven(interval_s=10.0, sustain_periods=2)
+        )
         sim.run(until=200.0)
         assert c.n_machines == 1
-        assert scaler.summary()["scale_downs"] == 3
+        assert converger.step_totals()["drain"] == 3
 
     def test_knee_caps_pool(self):
         sim = Simulator()
         c = Cluster(sim, "c", 1)
-        scaler = ECAutoScaler(sim, c, max_instances=16, knee=2, interval_s=10.0)
+        start_converger(sim, c, queue_driven(max_capacity=2, interval_s=10.0))
         for k in range(20):
             c.submit(k, 1000.0, lambda i, m: None)
         sim.run(until=300.0)
@@ -134,17 +178,15 @@ class TestAutoScaler:
         batches = build_workload(spec)
         static = run_one("Op", spec, batches=batches)
 
-        scalers = []
+        envs = []
 
         def hook(env):
-            scalers.append(
-                ECAutoScaler(env.sim, env.ec, min_instances=1, max_instances=6,
-                             interval_s=60.0)
-            )
+            attach_policy(env, queue_driven(max_capacity=6, interval_s=60.0))
+            envs.append(env)
 
         elastic = run_one("Op", spec, batches=batches, env_hook=hook)
         assert all(r.completed for r in elastic.records)
         static_cost = 6.0 * (static.end_time - static.arrival_time)
-        elastic_cost = scalers[0].summary()["rented_machine_s"]
+        elastic_cost = envs[0].ec.rented_machine_seconds
         assert elastic_cost < static_cost * 0.85
         assert elastic.makespan < static.makespan * 1.10

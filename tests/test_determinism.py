@@ -25,6 +25,7 @@ from repro.analysis.determinism import (
 from repro.cli import main
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import run_one
+from repro.sim.environment import RunPlugin
 
 SMALL_SPEC = ExperimentSpec(
     n_batches=2, mean_jobs_per_batch=4.0, training_samples=50
@@ -150,12 +151,13 @@ def nudge_second_run(monkeypatch):
             return
         done = []
 
-        def nudge(record):
-            if not done:
-                record.completion_time += 1e-9
-                done.append(record)
+        class Nudge(RunPlugin):
+            def on_complete(self, record):
+                if not done:
+                    record.completion_time += 1e-9
+                    done.append(record)
 
-        env.completion_observers.append(nudge)
+        Nudge(env)
 
     monkeypatch.setattr(determinism, "attach_cell", attach)
 

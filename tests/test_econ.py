@@ -505,14 +505,6 @@ class TestAttachEcon:
         assert runtime_a.ledger.ledger_hash() == runtime_b.ledger.ledger_hash()
         assert trace_a.metadata["econ"] == trace_b.metadata["econ"]
 
-    def test_double_attach_raises(self):
-        def hook(env):
-            attach_econ(env)
-            with pytest.raises(RuntimeError, match="already attached"):
-                attach_econ(env)
-
-        run_one("Op", FAST, env_hook=hook)
-
     def test_penalties_feed_streaming_stats(self):
         stats = StreamingSLAStats(reservoir_seed=1)
         schedule = PenaltySchedule(

@@ -16,7 +16,7 @@ import time
 from repro.analysis.determinism import hash_trace
 from repro.fleet import FleetConfig, TenantSpec
 from repro.fleet.sharding import BrokerShard
-from repro.sim.environment import CloudBurstEnvironment, SystemConfig
+from repro.sim.environment import CloudBurstEnvironment, RunPlugin, SystemConfig
 
 
 def make_env(seed: int = 7) -> CloudBurstEnvironment:
@@ -26,11 +26,12 @@ def make_env(seed: int = 7) -> CloudBurstEnvironment:
 class TestNoSharedMutableState:
     def test_instances_own_their_containers(self):
         a, b = make_env(), make_env()
-        assert a.completion_observers is not b.completion_observers
+        assert a.plugins is not b.plugins
         assert a._states is not b._states
         assert a.extra_site_runtimes is not b.extra_site_runtimes
-        a.completion_observers.append(lambda record: None)
-        assert b.completion_observers == []
+        before = list(b.plugins)
+        RunPlugin(a)
+        assert b.plugins == before
 
     def test_same_seed_instances_are_equal_but_distinct(self):
         a, b = make_env(seed=11), make_env(seed=11)

@@ -202,8 +202,8 @@ class TestOutageEdgeCases:
         """
         from repro.econ import (SpotMarketConfig, SpotPreemptionInjector,
                                 SpotPriceProcess)
-        from repro.sim.autoscale import ECAutoScaler
         from repro.sim.cluster import Cluster
+        from tests.test_autoscale import queue_driven, start_converger
 
         sim = Simulator()
         cluster = Cluster(sim, "ec", 4)
@@ -213,19 +213,18 @@ class TestOutageEdgeCases:
         injector = SpotPreemptionInjector(
             sim, cluster, process, bid_usd_per_hour=0.2
         )
-        # scale_up_queue is set out of reach: a scale-up mid-reclaim
+        # queue_at_least is set out of reach: a scale-up mid-reclaim
         # would rent a fresh, *online* instance and serve the queue —
         # this test pins the scale-down path specifically.
-        scaler = ECAutoScaler(
-            sim, cluster, min_instances=1, max_instances=4,
-            interval_s=10.0, idle_periods_before_down=1,
-            scale_up_queue=100,
-        )
+        start_converger(sim, cluster, queue_driven(
+            min_capacity=1, max_capacity=4, interval_s=10.0,
+            sustain_periods=1, queue_at_least=100,
+        ))
         sim.run(until=5.0)
         injector._on_price(0.5)  # reclaim: the whole (idle) pool offline
         assert cluster.offline_machines == cluster.n_machines == 4
         sim.run(until=200.0)  # scaler ticks against an all-offline pool
-        assert cluster.n_machines == scaler.min_instances
+        assert cluster.n_machines == 1  # the policies' min_capacity
         assert cluster.offline_machines <= cluster.n_machines
         # Work arriving mid-suspension queues; it must not wedge the
         # drained pool once the market recovers.

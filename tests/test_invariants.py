@@ -39,8 +39,9 @@ def _noop() -> None:
 
 
 def make_checker(**env_attrs) -> EnvironmentInvariants:
-    """Checker bound to a stub environment (no install, direct hook calls)."""
+    """Checker bound to a stub environment (direct hook calls)."""
     defaults = dict(
+        plugins=[],
         sim=SimpleNamespace(now=0.0),
         jobs_in_system=0,
         _open={},
@@ -86,7 +87,7 @@ class TestWiring:
     ):
         monkeypatch.setenv("REPRO_INVARIANTS", "1")
         env = CloudBurstEnvironment(fast_config)
-        assert isinstance(env.invariants, EnvironmentInvariants)
+        assert isinstance(env.plugin(EnvironmentInvariants), EnvironmentInvariants)
         assert env.sim.on_event is not None
         assert env.upload.on_transfer_start is not None
 
@@ -95,7 +96,7 @@ class TestWiring:
     ):
         monkeypatch.setenv("REPRO_INVARIANTS", "0")
         env = CloudBurstEnvironment(fast_config)
-        assert env.invariants is None
+        assert env.plugin(EnvironmentInvariants) is None
         assert env.sim.on_event is None
 
     def test_clean_run_exercises_every_hook(self):
@@ -221,19 +222,19 @@ class TestFinishChecks:
         checker = make_checker()
         checker.on_admit(completed_record())
         checker.on_complete(completed_record())
-        checker.on_finish(RunTrace(records=[completed_record()]))
+        checker.finalize(RunTrace(records=[completed_record()]))
         assert checker.stats.finishes_checked == 1
 
     def test_finish_with_inflight_jobs_raises(self):
         checker = make_checker(jobs_in_system=1, _open={"j1": object()})
         with pytest.raises(InvariantError, match="in flight"):
-            checker.on_finish(RunTrace())
+            checker.finalize(RunTrace())
 
     def test_finish_with_unbalanced_counts_raises(self):
         checker = make_checker()
         checker.on_admit(completed_record())
         with pytest.raises(InvariantError, match="admitted"):
-            checker.on_finish(RunTrace())
+            checker.finalize(RunTrace())
 
     def test_broker_counters_balanced(self):
         stats = StreamingSLAStats(

@@ -62,12 +62,6 @@ class TestTraceParity:
         second, _ = run_trace(fast_config, instrument=True)
         assert first.metadata["obs"] == second.metadata["obs"]
 
-    def test_double_attach_raises(self, fast_config):
-        env = CloudBurstEnvironment(fast_config)
-        attach_obs(env)
-        with pytest.raises(RuntimeError, match="already attached"):
-            attach_obs(env)
-
 
 class TestCheckObsParity:
     def test_check_reports_invisible(self):

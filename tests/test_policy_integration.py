@@ -54,14 +54,6 @@ class TestAttach:
         del trace.metadata["policy"]
         assert hash_trace(trace) == h
 
-    def test_double_attach_rejected(self):
-        def hook(env):
-            attach_policy(env, HOLD_FOUR)
-            with pytest.raises(RuntimeError, match="already"):
-                attach_policy(env, HOLD_FOUR)
-
-        run_one("Op", FAST, env_hook=hook)
-
     def test_disabled_config_never_starts_the_loop(self):
         config = PolicyConfig(
             policies=HOLD_FOUR.policies,
@@ -253,45 +245,3 @@ class TestCli:
         )
         assert code == 2
         assert "unknown scheduler" in capsys.readouterr().err
-
-
-class TestAutoscalerAdapter:
-    def test_legacy_constructor_warns_and_exposes_the_converger(self):
-        from repro.policy.converge import Converger
-        from repro.sim.autoscale import ECAutoScaler
-        from repro.sim.cluster import Cluster
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        cluster = Cluster(sim, "ec", 2)
-        with pytest.warns(DeprecationWarning, match="repro.policy"):
-            scaler = ECAutoScaler(
-                sim, cluster, min_instances=1, max_instances=4,
-                interval_s=10.0, scale_up_queue=2,
-            )
-        assert isinstance(scaler.converger, Converger)
-        assert scaler.converger.config.basis == "gross"
-        assert scaler.converger.config.delete_offline is False
-
-    def test_scale_events_mirror_converger_steps(self):
-        import warnings
-
-        from repro.sim.autoscale import ECAutoScaler
-        from repro.sim.cluster import Cluster
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        cluster = Cluster(sim, "ec", 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            scaler = ECAutoScaler(
-                sim, cluster, min_instances=1, max_instances=4,
-                interval_s=10.0, scale_up_queue=1,
-            )
-        for _ in range(3):
-            cluster.submit(object(), 10_000.0, lambda item, machine: None)
-        sim.run(until=11.0)
-        assert cluster.n_machines > 1
-        assert scaler.events
-        assert all(e.action == "up" for e in scaler.events)
-        assert scaler.events[-1].pool_size == cluster.n_machines

@@ -142,7 +142,8 @@ class TestKitchenSink:
         EC, rescheduling strategies, Poisson arrivals, and a mid-run
         outage — the run must complete and audit clean."""
         from repro.core.bandwidth_splitting import SizeIntervalSplittingScheduler
-        from repro.sim.autoscale import ECAutoScaler
+        from repro.policy import attach_policy
+        from tests.test_autoscale import queue_driven
 
         gen = WorkloadGenerator(bucket=Bucket.LARGE, seed=13)
         batches = gen.generate(
@@ -156,8 +157,7 @@ class TestKitchenSink:
             enable_ic_pull=True, enable_ec_push=True,
         ))
         env.pretrain_qrsm(*gen.sample_training_set(150))
-        ECAutoScaler(env.sim, env.ec, min_instances=1, max_instances=4,
-                     interval_s=45.0)
+        attach_policy(env, queue_driven(max_capacity=4, interval_s=45.0))
         OutageInjector(
             env.sim, [env.up_capacity, env.down_capacity],
             [OutageWindow(start_s=120.0, duration_s=90.0)],
