@@ -62,7 +62,9 @@ can gate on them:
 * ``repro bench [--smoke] [--out PATH]`` — the canonical performance
   harness (:mod:`repro.perf.harness`): engine event throughput, offline
   end-to-end runs per paper scheduler, broker load-driver throughput
-  (steady and bursty arrivals). Writes ``BENCH_core.json``.
+  (steady and bursty arrivals), the telemetry and policy control-plane
+  overheads, and fleet throughput (in-process and multiprocess
+  executors). Writes ``BENCH_core.json``.
 
 **Economics** (:mod:`repro.econ`)
 

@@ -80,6 +80,8 @@ class FleetLoadConfig:
             raise ValueError("rate_per_s must be positive")
         if self.process not in ("poisson", "bursty"):
             raise ValueError("process must be 'poisson' or 'bursty'")
+        if self.mean_burst_jobs < 1:
+            raise ValueError("mean_burst_jobs must be >= 1")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The canonical performance harness behind ``repro bench``.
 
-Three scenarios, each exercising one hot path the performance pass
+Seven scenarios, each exercising one hot path the performance pass
 optimises, each reported with the metric an operator would regress on:
 
 * **engine** — raw event throughput of :class:`repro.sim.engine.Simulator`
@@ -114,14 +114,20 @@ a benchmark; the DET001 suppressions below mark every such site.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
-__all__ = ["SCHEMA_VERSION", "BenchPreset", "BenchReport", "run_bench", "main"]
+if TYPE_CHECKING:
+    from ..fleet import FleetLoadResult
+    from ..service import LoadGenResult, SLAPolicy
+
+__all__ = ["SCHEMA_VERSION", "BenchPreset", "BenchReport", "run_bench"]
 
 SCHEMA_VERSION = 6
 
@@ -278,42 +284,85 @@ def _offline_scenario(n_batches: int, reps: int) -> dict[str, Any]:
     return {"n_batches": n_batches, "schedulers": schedulers}
 
 
-def _loadgen_scenario(n_jobs: int, process: str = "poisson") -> dict[str, Any]:
-    """Broker submission throughput under the bounded heavy-traffic driver.
+def _broker_policy() -> "SLAPolicy":
+    """The load driver's production-shaped admission policy.
 
-    Uses the load driver's production-shaped policy (proportional tickets,
-    ``max_in_system`` backpressure): an *unbounded* policy turns the run
-    into a pure overload study where queue length, not broker cost,
-    dominates the clock. ``process`` selects the arrival process:
-    ``"poisson"`` submits one job per broker round trip, ``"bursty"``
-    (compound Poisson, ~8 jobs per burst) exercises the batched
-    submission path.
+    Proportional tickets with ``max_in_system`` backpressure: an
+    *unbounded* policy turns a run into a pure overload study where
+    queue length, not broker cost, dominates the clock. Every broker and
+    fleet scenario sells promises under this one policy (fleet tenants'
+    SLA classes rescale it on top).
     """
-    from ..experiments.config import DEFAULT_SPEC
-    from ..experiments.runner import make_scheduler
     from ..metrics.tickets import ProportionalTicket
-    from ..service import LoadGenConfig, SLAPolicy, run_load
-    from ..sim.environment import CloudBurstEnvironment
+    from ..service import SLAPolicy
 
-    env = CloudBurstEnvironment(DEFAULT_SPEC.system)
-    scheduler = make_scheduler("Op", env)
-    policy = SLAPolicy(
+    return SLAPolicy(
         ticket=ProportionalTicket(base_s=300.0, factor=6.0),
         degraded_slack_s=-120.0,
         max_in_system=60,
     )
-    config = LoadGenConfig(
-        n_jobs=n_jobs,
-        rate_per_s=50.0,
-        process=process,
-        mean_burst_jobs=8.0,
-        seed=2024,
-    )
+
+
+#: Arrival knobs shared by the single-broker and fleet load runs: the
+#: fleet aggregate stays comparable to ``loadgen_bursty`` per shard.
+_LOAD_KNOBS: dict[str, Any] = {
+    "rate_per_s": 50.0,
+    "mean_burst_jobs": 8.0,
+    "seed": 2024,
+}
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic GC for a block of timed reps, restoring it after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _broker_run(
+    n_jobs: int, process: str, attach: Optional[Callable[[Any], Any]] = None
+) -> tuple["LoadGenResult", Any, float]:
+    """One seeded load-driver run through a fresh broker.
+
+    Builds a fresh environment, runs ``attach(env)`` (if given) before
+    the scheduler is made, then drives ``n_jobs`` arrivals of the given
+    ``process`` through the ``Op`` scheduler under :func:`_broker_policy`.
+    Returns ``(LoadGenResult, attach's return value, cpu_s)``, where
+    ``cpu_s`` is the process CPU clock around ``run_load`` alone.
+    """
+    from ..experiments.config import DEFAULT_SPEC
+    from ..experiments.runner import make_scheduler
+    from ..service import LoadGenConfig, run_load
+    from ..sim.environment import CloudBurstEnvironment
+
+    policy = _broker_policy()
+    config = LoadGenConfig(n_jobs=n_jobs, process=process, **_LOAD_KNOBS)
+    env = CloudBurstEnvironment(DEFAULT_SPEC.system)
+    attached = attach(env) if attach is not None else None
+    scheduler = make_scheduler("Op", env)
+    t0 = time.process_time()  # repro: allow[DET001] CPU cost is the measurement
     result = run_load(env, scheduler, policy, config)
+    cpu_s = time.process_time() - t0  # repro: allow[DET001] CPU cost is the measurement
+    return result, attached, cpu_s
+
+
+def _loadgen_scenario(n_jobs: int, process: str = "poisson") -> dict[str, Any]:
+    """Broker submission throughput under the bounded heavy-traffic driver.
+
+    ``process`` selects the arrival process: ``"poisson"`` submits one
+    job per broker round trip, ``"bursty"`` (compound Poisson, ~8 jobs
+    per burst) exercises the batched submission path.
+    """
+    result, _, _ = _broker_run(n_jobs, process)
     return {
         "jobs_per_s": result.jobs_per_s,
         "n_jobs": result.n_submitted,
-        "scheduler": scheduler.name,
+        "scheduler": result.scheduler_name,
         "process": process,
         "submit_wall_s": result.submit_wall_s,
         "drain_wall_s": result.drain_wall_s,
@@ -322,277 +371,189 @@ def _loadgen_scenario(n_jobs: int, process: str = "poisson") -> dict[str, Any]:
     }
 
 
-def _obs_overhead_scenario(n_jobs: int, reps: int) -> dict[str, Any]:
-    """The telemetry tax: one bursty loadgen run, bare vs instrumented.
+def _overhead(
+    n_jobs: int, reps: int, attach: Callable[[Any], Any], arm: str
+) -> tuple[dict[str, Any], list[Any]]:
+    """An attachment's tax on the broker: one bursty run, bare vs attached.
 
-    Identical seeded workload both ways; the instrumented arm attaches
-    the full :mod:`repro.obs` catalogue (counters, histograms, span
-    recording at fraction 1.0) before the run, and its cost includes
-    ``finalize`` — the snapshot, its SHA-256, and the span export are
-    part of what an instrumented run pays. Per rep the two arms
-    alternate so slow drift of the bench box charges both equally, and
-    the clock is the **process CPU clock**: the absolute telemetry cost
-    is a few ms, which wall-clock jitter on a shared box would bury.
-    The scored figure compares min CPU seconds across reps; the repo's
-    observer contract budgets ``overhead_pct`` at <= 5%.
+    Identical seeded workload both ways; the attached arm runs
+    ``attach(env)`` before the run, and its cost includes the plugin's
+    ``finalize``. Per rep the two arms alternate (bare first) so slow
+    drift of the bench box charges both equally, GC is paused over all
+    reps, and the clock is the **process CPU clock**: the absolute cost
+    is a few ms, which wall-clock jitter on a shared box would bury. The
+    scored ``overhead_pct`` compares min CPU seconds across reps; the
+    rates are the max across reps. Figures of the attached arm are
+    keyed ``<arm>_cpu_s`` / ``<arm>_jobs_per_s``. Returns the figures and
+    each rep's attached runtime, in rep order.
     """
-    import gc
-
-    from ..experiments.config import DEFAULT_SPEC
-    from ..experiments.runner import make_scheduler
-    from ..metrics.tickets import ProportionalTicket
-    from ..obs import ObsRuntime, attach_obs
-    from ..service import LoadGenConfig, SLAPolicy, run_load
-    from ..sim.environment import CloudBurstEnvironment
-
-    config = LoadGenConfig(
-        n_jobs=n_jobs,
-        rate_per_s=50.0,
-        process="bursty",
-        mean_burst_jobs=8.0,
-        seed=2024,
-    )
-
-    def one(with_obs: bool) -> tuple[float, float, Optional[ObsRuntime]]:
-        env = CloudBurstEnvironment(DEFAULT_SPEC.system)
-        runtime = attach_obs(env) if with_obs else None
-        scheduler = make_scheduler("Op", env)
-        policy = SLAPolicy(
-            ticket=ProportionalTicket(base_s=300.0, factor=6.0),
-            degraded_slack_s=-120.0,
-            max_in_system=60,
-        )
-        t0 = time.process_time()  # repro: allow[DET001] CPU cost is the measurement
-        result = run_load(env, scheduler, policy, config)
-        cpu_s = time.process_time() - t0  # repro: allow[DET001] CPU cost is the measurement
-        return cpu_s, result.jobs_per_s, runtime
-
     reps = max(1, reps)
-    plain_cpus: list[float] = []
-    obs_cpus: list[float] = []
-    plain_rate = obs_rate = 0.0
-    runtime: Optional[ObsRuntime] = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    plain, attached = [], []
+    with _gc_paused():
         for _ in range(reps):
-            cpu_s, rate, _ = one(False)
-            plain_cpus.append(cpu_s)
-            plain_rate = max(plain_rate, rate)
-            cpu_s, rate, runtime = one(True)
-            obs_cpus.append(cpu_s)
-            obs_rate = max(obs_rate, rate)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert runtime is not None
-    plain_cpu = min(plain_cpus)
-    obs_cpu = min(obs_cpus)
-    overhead = (obs_cpu / plain_cpu - 1.0) * 100.0 if plain_cpu > 0 else 0.0
-    return {
+            plain.append(_broker_run(n_jobs, "bursty"))
+            attached.append(_broker_run(n_jobs, "bursty", attach))
+    plain_cpu = min(cpu_s for _, _, cpu_s in plain)
+    arm_cpu = min(cpu_s for _, _, cpu_s in attached)
+    overhead = (arm_cpu / plain_cpu - 1.0) * 100.0 if plain_cpu > 0 else 0.0
+    figures = {
         "overhead_pct": overhead,
         "plain_cpu_s": plain_cpu,
-        "obs_cpu_s": obs_cpu,
-        "plain_jobs_per_s": plain_rate,
-        "obs_jobs_per_s": obs_rate,
+        f"{arm}_cpu_s": arm_cpu,
+        "plain_jobs_per_s": max(r.jobs_per_s for r, _, _ in plain),
+        f"{arm}_jobs_per_s": max(r.jobs_per_s for r, _, _ in attached),
         "n_jobs": n_jobs,
         "reps": reps,
-        "n_metric_families": len(runtime.registry.families()),
-        "spans_kept": runtime.spans.kept,
     }
+    return figures, [runtime for _, runtime, _ in attached]
+
+
+def _obs_overhead_scenario(n_jobs: int, reps: int) -> dict[str, Any]:
+    """The telemetry tax: the full :mod:`repro.obs` catalogue (counters,
+    histograms, span recording at fraction 1.0) attached vs bare.
+
+    The attached arm's cost includes ``finalize`` — the snapshot, its
+    SHA-256, and the span export are part of what an instrumented run
+    pays. The repo's observer contract budgets ``overhead_pct`` at
+    <= 5%.
+    """
+    from ..obs import attach_obs
+
+    figures, runtimes = _overhead(n_jobs, reps, attach_obs, "obs")
+    runtime = runtimes[-1]
+    figures["n_metric_families"] = len(runtime.registry.families())
+    figures["spans_kept"] = runtime.spans.kept
+    return figures
+
+
+def _hold_steady(env: Any) -> Any:
+    """Attach a converger whose only policy targets the current capacity."""
+    from ..policy import ConvergerConfig, PolicyConfig, ScalingPolicy
+    from ..policy import attach_policy
+
+    capacity = env.ec.n_machines
+    return attach_policy(
+        env,
+        PolicyConfig(
+            policies=(
+                ScalingPolicy(
+                    name="hold-steady",
+                    action="target",
+                    amount=capacity,
+                    max_capacity=max(capacity, 64),
+                ),
+            ),
+            converger=ConvergerConfig(interval_s=30.0),
+        ),
+    )
 
 
 def _policy_convergence_scenario(n_jobs: int, reps: int) -> dict[str, Any]:
-    """The policy control-plane tax: one bursty loadgen run, bare vs
-    converger-attached.
+    """The policy control-plane tax: the convergence autoscaler
+    (:mod:`repro.policy`) attached vs bare.
 
-    Identical seeded workload both ways; the attached arm runs the
-    convergence autoscaler (:mod:`repro.policy`) with a steady-state
-    policy whose target equals the pool's current capacity, so every
-    tick pays the full observe/resolve/propose/audit loop but emits
-    zero scaling steps — the measured delta is pure control plane, not
-    the (intended) cost of launching or draining machines. Same noise
-    discipline as ``_obs_overhead_scenario``: arms alternate per rep,
-    GC is paused, the clock is the process CPU clock, and min CPU
-    seconds across reps are compared. ``overhead_pct`` is budgeted at
-    <= 5%. All reps must land on one convergence audit SHA-256, making
-    the scenario a bench-side determinism witness for the policy plane.
+    The attached arm's steady-state policy targets the pool's current
+    capacity, so every tick pays the full observe/resolve/propose/audit
+    loop but emits zero scaling steps — the measured delta is pure
+    control plane, not the (intended) cost of launching or draining
+    machines. ``overhead_pct`` is budgeted at <= 5%. All reps must land
+    on one convergence audit SHA-256, making the scenario a bench-side
+    determinism witness for the policy plane.
     """
-    import gc
-
-    from ..experiments.config import DEFAULT_SPEC
-    from ..experiments.runner import make_scheduler
-    from ..metrics.tickets import ProportionalTicket
-    from ..policy import ConvergerConfig, PolicyConfig, PolicyRuntime
-    from ..policy import ScalingPolicy, attach_policy
-    from ..service import LoadGenConfig, SLAPolicy, run_load
-    from ..sim.environment import CloudBurstEnvironment
-
-    config = LoadGenConfig(
-        n_jobs=n_jobs,
-        rate_per_s=50.0,
-        process="bursty",
-        mean_burst_jobs=8.0,
-        seed=2024,
-    )
-
-    def one(with_policy: bool) -> tuple[float, float, Optional[PolicyRuntime]]:
-        env = CloudBurstEnvironment(DEFAULT_SPEC.system)
-        runtime: Optional[PolicyRuntime] = None
-        if with_policy:
-            capacity = env.ec.n_machines
-            runtime = attach_policy(
-                env,
-                PolicyConfig(
-                    policies=(
-                        ScalingPolicy(
-                            name="hold-steady",
-                            action="target",
-                            amount=capacity,
-                            max_capacity=max(capacity, 64),
-                        ),
-                    ),
-                    converger=ConvergerConfig(interval_s=30.0),
-                ),
-            )
-        scheduler = make_scheduler("Op", env)
-        policy = SLAPolicy(
-            ticket=ProportionalTicket(base_s=300.0, factor=6.0),
-            degraded_slack_s=-120.0,
-            max_in_system=60,
-        )
-        t0 = time.process_time()  # repro: allow[DET001] CPU cost is the measurement
-        result = run_load(env, scheduler, policy, config)
-        cpu_s = time.process_time() - t0  # repro: allow[DET001] CPU cost is the measurement
-        return cpu_s, result.jobs_per_s, runtime
-
-    reps = max(1, reps)
-    plain_cpus: list[float] = []
-    policy_cpus: list[float] = []
-    plain_rate = policy_rate = 0.0
-    audits: set[str] = set()
-    runtime: Optional[PolicyRuntime] = None
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            cpu_s, rate, _ = one(False)
-            plain_cpus.append(cpu_s)
-            plain_rate = max(plain_rate, rate)
-            cpu_s, rate, runtime = one(True)
-            policy_cpus.append(cpu_s)
-            policy_rate = max(policy_rate, rate)
-            assert runtime is not None
-            audits.add(runtime.converger.audit_sha256())
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert runtime is not None
+    figures, runtimes = _overhead(n_jobs, reps, _hold_steady, "policy")
+    audits = {runtime.converger.audit_sha256() for runtime in runtimes}
     if len(audits) != 1:
         raise RuntimeError(
-            f"policy bench diverged across {reps} reps: {sorted(audits)}"
+            f"policy bench diverged across {figures['reps']} reps: "
+            f"{sorted(audits)}"
         )
-    totals = runtime.converger.step_totals()
+    converger = runtimes[-1].converger
+    totals = converger.step_totals()
     applied = sum(n for kind, n in totals.items() if kind != "failed")
     if applied:
         raise RuntimeError(
             "policy bench scaled the pool — the steady-state policy must "
             f"emit zero steps to measure pure control-plane cost: {totals}"
         )
-    plain_cpu = min(plain_cpus)
-    policy_cpu = min(policy_cpus)
-    overhead = (
-        (policy_cpu / plain_cpu - 1.0) * 100.0 if plain_cpu > 0 else 0.0
+    figures["ticks"] = converger.ticks
+    figures["steps_applied"] = applied
+    figures["audit_sha256"] = audits.pop()
+    return figures
+
+
+def _fleet_runs(
+    n_jobs: int, n_shards: int, reps: int, executors: tuple[str, ...]
+) -> dict[str, list["FleetLoadResult"]]:
+    """Repeat one seeded fleet load run, returning results per executor.
+
+    Each rep runs the bursty fleet workload once under every executor,
+    in the order given, each on a fresh fleet and tenant registry; GC is
+    paused over all reps. The tenant population scales with the shard
+    count (three SLA-class cycles worth) so every shard has at least one
+    tenant routed to it. Every run — all executors, all reps — must land
+    on one fleet SHA-256 (same seed, same config) and lose no shard, so
+    each fleet scenario doubles as an enforced determinism witness.
+    """
+    from ..fleet import FleetConfig, FleetLoadConfig, default_registry
+    from ..fleet import run_fleet_load
+
+    fleet = FleetConfig(
+        n_shards=n_shards, seed=2024, scheduler="Op", policy=_broker_policy()
     )
-    return {
-        "overhead_pct": overhead,
-        "plain_cpu_s": plain_cpu,
-        "policy_cpu_s": policy_cpu,
-        "plain_jobs_per_s": plain_rate,
-        "policy_jobs_per_s": policy_rate,
-        "n_jobs": n_jobs,
-        "reps": reps,
-        "ticks": runtime.converger.ticks,
-        "steps_applied": applied,
-        "audit_sha256": audits.pop(),
-    }
+    load = FleetLoadConfig(n_jobs=n_jobs, process="bursty", **_LOAD_KNOBS)
+    reps = max(1, reps)
+    runs: dict[str, list["FleetLoadResult"]] = {e: [] for e in executors}
+    with _gc_paused():
+        for _ in range(reps):
+            for executor in executors:
+                runs[executor].append(
+                    run_fleet_load(
+                        fleet,
+                        load,
+                        registry=default_registry(3 * n_shards),
+                        executor=executor,
+                    )
+                )
+    every = [r for results in runs.values() for r in results]
+    digests = {r.report.sha256 for r in every}
+    if len(digests) != 1:
+        raise RuntimeError(
+            f"fleet bench diverged across {reps} reps of {list(executors)}: "
+            f"{len(digests)} distinct fleet digests {sorted(digests)}"
+        )
+    lost = {i for r in every for i in r.lost_shards}
+    if lost:
+        raise RuntimeError(f"bench fleet lost worker shard(s) {sorted(lost)}")
+    return runs
+
+
+def _best_per_shard(results: list["FleetLoadResult"], field: str) -> list[float]:
+    """Each shard's best (min) submission ``field`` across reps."""
+    return [
+        min(getattr(r.shard_timings[i], field) for r in results)
+        for i in range(len(results[0].shard_timings))
+    ]
 
 
 def _fleet_scenario(n_jobs: int, n_shards: int, reps: int) -> dict[str, Any]:
     """Aggregate fleet throughput across sharded multi-tenant brokers.
 
-    Same production-shaped admission policy as the single-broker loadgen
-    scenarios (each tenant's SLA class rescales the promises on top), and
-    the same bursty arrival process — the aggregate figure is directly
+    Same admission policy as the single-broker loadgen scenarios and the
+    same bursty arrival process — the aggregate figure is directly
     comparable to ``loadgen_bursty`` times the shard count, minus the
     multi-tenant bookkeeping overhead.
 
-    Noise discipline: GC is paused for the timed runs, the whole load run
-    repeats ``reps`` times, and each shard's wall is its *best* across
-    reps. The aggregate figure models one process per shard, so a
-    co-tenant stall of this container landing on a random shard during
-    one rep should not be charged against fleet capacity — min-over-reps
-    per shard is the fleet analogue of the min-wall convention the
-    offline scenario already uses. The reps must also agree on the fleet
-    SHA-256 (same seed, same config), so the scenario doubles as an
-    enforced determinism witness.
-
-    The tenant population scales with the shard count (three SLA-class
-    cycles worth) so every shard has at least one tenant routed to it.
+    Each shard's wall is its *best* across reps. The aggregate figure
+    models one process per shard, so a co-tenant stall of this container
+    landing on a random shard during one rep should not be charged
+    against fleet capacity — min-over-reps per shard is the fleet
+    analogue of the min-wall convention the offline scenario already
+    uses.
     """
-    import gc
-
-    from ..fleet import (
-        FleetConfig,
-        FleetLoadConfig,
-        default_registry,
-        run_fleet_load,
-    )
-    from ..metrics.tickets import ProportionalTicket
-    from ..service import SLAPolicy
-
-    fleet = FleetConfig(
-        n_shards=n_shards,
-        seed=2024,
-        scheduler="Op",
-        policy=SLAPolicy(
-            ticket=ProportionalTicket(base_s=300.0, factor=6.0),
-            degraded_slack_s=-120.0,
-            max_in_system=60,
-        ),
-    )
-    load = FleetLoadConfig(
-        n_jobs=n_jobs,
-        rate_per_s=50.0,
-        process="bursty",
-        mean_burst_jobs=8.0,
-        seed=2024,
-    )
-    reps = max(1, reps)
-    results = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            results.append(
-                run_fleet_load(
-                    fleet, load, registry=default_registry(3 * n_shards)
-                )
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    digests = {r.report.sha256 for r in results}
-    if len(digests) != 1:
-        raise RuntimeError(
-            f"fleet bench diverged across {reps} reps: {sorted(digests)}"
-        )
+    results = _fleet_runs(n_jobs, n_shards, reps, ("inprocess",))["inprocess"]
     first = results[0]
     n_submitted = first.n_submitted
-    best_walls = [
-        min(r.shard_timings[i].submit_wall_s for r in results)
-        for i in range(len(first.shard_timings))
-    ]
+    best_walls = _best_per_shard(results, "submit_wall_s")
     max_wall = max(best_walls, default=0.0)
     total_wall = sum(best_walls)
     return {
@@ -601,9 +562,9 @@ def _fleet_scenario(n_jobs: int, n_shards: int, reps: int) -> dict[str, Any]:
         "n_jobs": n_submitted,
         "n_shards": n_shards,
         "n_tenants": len(first.report.tenants),
-        "reps": reps,
-        "scheduler": fleet.scheduler,
-        "process": load.process,
+        "reps": len(results),
+        "scheduler": first.fleet.scheduler,
+        "process": first.config.process,
         "max_shard_wall_s": max_wall,
         "total_shard_wall_s": total_wall,
         "drain_wall_s": min(r.drain_wall_s for r in results),
@@ -617,9 +578,9 @@ def _fleet_procs_scenario(n_jobs: int, n_shards: int, reps: int) -> dict[str, An
 
     Two runs per rep: the multiprocess executor (spawn-context workers
     driving their shards concurrently) and the in-process baseline
-    driving the same shards sequentially. Every run — both executors,
-    all reps — must land on one fleet SHA-256; this is the bench-side
-    half of the ``repro check`` executor-parity gate.
+    driving the same shards sequentially. Both executors landing on one
+    fleet SHA-256 is the bench-side half of the ``repro check``
+    executor-parity gate.
 
     The scored figure is the aggregate rate on the **per-worker CPU
     clock**: total jobs over the slowest shard's submit CPU seconds
@@ -632,78 +593,12 @@ def _fleet_procs_scenario(n_jobs: int, n_shards: int, reps: int) -> dict[str, An
     whole concurrent submission phase, IPC included) is reported
     unscored for exactly that reason.
     """
-    import gc
-
-    from ..fleet import (
-        FleetConfig,
-        FleetLoadConfig,
-        default_registry,
-        run_fleet_load,
-    )
-    from ..metrics.tickets import ProportionalTicket
-    from ..service import SLAPolicy
-
-    fleet = FleetConfig(
-        n_shards=n_shards,
-        seed=2024,
-        scheduler="Op",
-        policy=SLAPolicy(
-            ticket=ProportionalTicket(base_s=300.0, factor=6.0),
-            degraded_slack_s=-120.0,
-            max_in_system=60,
-        ),
-    )
-    load = FleetLoadConfig(
-        n_jobs=n_jobs,
-        rate_per_s=50.0,
-        process="bursty",
-        mean_burst_jobs=8.0,
-        seed=2024,
-    )
-    reps = max(1, reps)
-    mp_results = []
-    base_results = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            mp_results.append(
-                run_fleet_load(
-                    fleet,
-                    load,
-                    registry=default_registry(3 * n_shards),
-                    executor="multiprocess",
-                )
-            )
-            base_results.append(
-                run_fleet_load(
-                    fleet,
-                    load,
-                    registry=default_registry(3 * n_shards),
-                    executor="inprocess",
-                )
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    digests = {r.report.sha256 for r in mp_results + base_results}
-    if len(digests) != 1:
-        raise RuntimeError(
-            "executor parity broken in bench: multiprocess and in-process "
-            f"runs produced {len(digests)} distinct fleet digests: "
-            f"{sorted(digests)}"
-        )
-    lost = {i for r in mp_results for i in r.lost_shards}
-    if lost:
-        raise RuntimeError(f"bench fleet lost worker shard(s) {sorted(lost)}")
+    runs = _fleet_runs(n_jobs, n_shards, reps, ("multiprocess", "inprocess"))
+    mp_results = runs["multiprocess"]
     first = mp_results[0]
     n_submitted = first.n_submitted
-    best_cpu = [
-        min(r.shard_timings[i].submit_cpu_s for r in mp_results)
-        for i in range(len(first.shard_timings))
-    ]
-    max_cpu = max(best_cpu, default=0.0)
-    serial_wall = min(r.total_shard_wall_s for r in base_results)
+    max_cpu = max(_best_per_shard(mp_results, "submit_cpu_s"), default=0.0)
+    serial_wall = min(r.total_shard_wall_s for r in runs["inprocess"])
     phase_wall = min(r.submit_phase_wall_s for r in mp_results)
     aggregate = n_submitted / max_cpu if max_cpu > 0 else 0.0
     serial = n_submitted / serial_wall if serial_wall > 0 else 0.0
@@ -714,9 +609,9 @@ def _fleet_procs_scenario(n_jobs: int, n_shards: int, reps: int) -> dict[str, An
         "speedup_vs_inprocess": aggregate / serial if serial > 0 else 0.0,
         "n_jobs": n_submitted,
         "n_shards": n_shards,
-        "reps": reps,
-        "scheduler": fleet.scheduler,
-        "process": load.process,
+        "reps": len(mp_results),
+        "scheduler": first.fleet.scheduler,
+        "process": first.config.process,
         "executor": "multiprocess",
         "max_shard_cpu_s": max_cpu,
         "submit_phase_wall_s": phase_wall,
@@ -853,20 +748,3 @@ def run_bench(
     report.path = path
     return report
 
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Standalone runner (``python -m repro.perf.harness``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="repro bench harness")
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--out", default="BENCH_core.json")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke, out_path=args.out)
-    print(report.render())
-    print(f"wrote {report.path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -155,6 +155,8 @@ class TestBenchReportSchema:
             fleet_shards=2,
             fleet_reps=2,
             fleet_procs_jobs=60,
+            obs_jobs=40,
+            obs_reps=2,
             policy_jobs=40,
             policy_reps=2,
         )
@@ -183,6 +185,12 @@ class TestBenchReportSchema:
         assert bursty["n_jobs"] == 12
         assert bursty["process"] == "bursty"
         assert bursty["jobs_per_s"] > 0
+        ov = scenarios["obs_overhead"]
+        assert ov["n_jobs"] == 40
+        assert ov["reps"] == 2
+        assert ov["n_metric_families"] >= 10
+        assert ov["spans_kept"] > 0
+        assert ov["plain_cpu_s"] > 0 and ov["obs_cpu_s"] > 0
         pc = scenarios["policy_convergence"]
         assert pc["n_jobs"] == 40
         assert pc["reps"] == 2
@@ -219,8 +227,49 @@ class TestBenchReportSchema:
         assert "fleet_loadgen_procs" not in report.scenarios
         assert "policy_convergence" not in report.scenarios
 
+    @pytest.mark.parametrize(
+        "fault, message", [("drift", "fleet bench diverged"), ("crash", "crash")]
+    )
+    def test_fleet_guard_raises_and_restores_gc(
+        self, tmp_path, monkeypatch, fault, message
+    ):
+        """The second fleet run either lands on another digest (the
+        harness's parity guard must refuse it) or raises mid-rep; either
+        way the GC the timed reps paused is back on afterwards."""
+        import gc
+
+        import repro.fleet
+
+        real = repro.fleet.run_fleet_load
+        calls = []
+
+        def faulty(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2 and fault == "crash":
+                raise RuntimeError("crash")
+            result = real(*args, **kwargs)
+            if len(calls) == 2:
+                result.report.sha256 = "0" * 64
+            return result
+
+        monkeypatch.setattr(repro.fleet, "run_fleet_load", faulty)
+        preset = BenchPreset(
+            engine_events=1000,
+            offline_n_batches=2,
+            offline_reps=1,
+            loadgen_jobs=10,
+            fleet_jobs=40,
+            fleet_shards=2,
+            fleet_reps=2,
+        )
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match=message):
+            run_bench(smoke=True, out_path=tmp_path / "b.json", preset=preset)
+        assert len(calls) == 2
+        assert gc.isenabled()
+
     def test_committed_bench_artifact_meets_fleet_target(self):
-        """BENCH_core.json is the acceptance artifact: schema v4 with the
+        """BENCH_core.json is the acceptance artifact: schema v6 with the
         fleet scenario sustaining >=100k jobs/s aggregate over >=4 shards."""
         bench_path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
         data = json.loads(bench_path.read_text())

@@ -242,6 +242,26 @@ class TestQuota:
 
 
 # ----------------------------------------------------------------------
+# Load config validation
+# ----------------------------------------------------------------------
+class TestFleetLoadConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_jobs": 0}, "n_jobs must be positive"),
+            ({"rate_per_s": 0.0}, "rate_per_s must be positive"),
+            ({"process": "uniform"}, "process must be 'poisson' or 'bursty'"),
+            ({"mean_burst_jobs": 0.5}, "mean_burst_jobs must be >= 1"),
+        ],
+    )
+    def test_invalid_knobs_refused_at_construction(self, overrides, message):
+        # Refused here, before run_fleet_load builds a fleet: under the
+        # multiprocess executor a later refusal would leak the workers.
+        with pytest.raises(ValueError, match=message):
+            FleetLoadConfig(**overrides)
+
+
+# ----------------------------------------------------------------------
 # Fleet determinism and aggregation
 # ----------------------------------------------------------------------
 class TestFleetDeterminism:
