@@ -328,11 +328,11 @@ def _run_fleet(cell: Cell, seed: int) -> CellRun:
     from ..fleet import (
         BRONZE,
         FleetConfig,
-        FleetLoadConfig,
         TenantSpec,
         default_registry,
         run_fleet_load,
     )
+    from ..service import LoadGenConfig
 
     registry = default_registry(11) if cell.starved else None
     if registry is not None:
@@ -347,7 +347,9 @@ def _run_fleet(cell: Cell, seed: int) -> CellRun:
             telemetry=cell.obs,
             scaling=None if cell.policy is None else POLICIES[cell.policy],
         ),
-        FleetLoadConfig(n_jobs=cell.jobs, rate_per_s=50.0, seed=seed),
+        LoadGenConfig(
+            n_jobs=cell.jobs, rate_per_s=50.0, process="bursty", seed=seed
+        ),
         registry=registry,
         executor=cell.executor,
     ).report

@@ -29,16 +29,16 @@ can gate on them:
   tables (``repro fig6`` works as positional sugar).
 * ``repro snapshot`` / ``repro diff`` — persist and compare comparison
   runs for regression tracking.
-* ``repro serve`` / ``repro loadgen`` — the online broker service path
-  and its heavy-traffic load driver.
+* ``repro loadgen`` — an open-loop arrival stream through the online
+  broker: throughput, quote latency, admission and SLA attainment.
 
 **Fleet** (:mod:`repro.fleet`)
 
 * ``repro fleet serve`` — the sharded multi-tenant HTTP/JSON front.
 * ``repro fleet loadgen`` — aggregate heavy-traffic driver across all
-  shards (the ≥100k jobs/s figure in ``BENCH_core.json``).
-* ``repro fleet report`` — small deterministic fleet run, aggregated
-  multi-tenant report (``--format markdown|json`` for machine use).
+  shards (the ≥100k jobs/s figure in ``BENCH_core.json``);
+  ``--format markdown|json`` prints the aggregated multi-tenant report
+  for machine use, ``--url`` replays the same schedule over HTTP.
 
 **Observability** (:mod:`repro.obs`)
 

@@ -1,8 +1,8 @@
 """Experiment subcommands of the unified ``repro`` CLI.
 
-This module owns the figure/table renderers and the service commands
-(``render``/``snapshot``/``diff``/``serve``/``loadgen``) and mounts them
-onto the single ``repro`` entry point via :func:`register_commands`:
+This module owns the figure/table renderers and the broker load command
+(``render``/``snapshot``/``diff``/``loadgen``) and mounts them onto the
+single ``repro`` entry point via :func:`register_commands`:
 
     repro render fig6
     repro render all
@@ -18,6 +18,7 @@ one-release deprecation window; use ``repro <subcommand>``. The
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Callable, Sequence
 
 from . import figures, tables
@@ -117,37 +118,31 @@ def _policy_from_args(args):
     )
 
 
-def _run_service(args):
+def _cmd_loadgen(args) -> int:
+    """Open-loop load run through the online broker; optionally persist
+    the summary to a file."""
     from ..service import LoadGenConfig, run_load
     from ..sim.environment import CloudBurstEnvironment
     from ..workload.distributions import Bucket
     from .config import DEFAULT_SPEC
     from .runner import make_scheduler
 
-    config = LoadGenConfig(
-        n_jobs=args.jobs,
-        rate_per_s=args.rate,
-        process=args.process,
-        mean_burst_jobs=args.mean_burst,
-        bucket=Bucket(args.bucket),
-        seed=args.seed,
-    )
+    try:
+        config = LoadGenConfig(
+            n_jobs=args.jobs,
+            rate_per_s=args.rate,
+            process=args.process,
+            mean_burst_jobs=args.mean_burst,
+            bucket=Bucket(args.bucket),
+            seed=args.seed,
+        )
+        policy = _policy_from_args(args)
+    except ValueError as exc:
+        print(f"repro loadgen: {exc}", file=sys.stderr)
+        return 2
     env = CloudBurstEnvironment(DEFAULT_SPEC.system)
     scheduler = make_scheduler(args.scheduler, env)
-    return run_load(env, scheduler, _policy_from_args(args), config)
-
-
-def _cmd_serve(args) -> int:
-    """Serve an open-loop arrival stream through the online broker."""
-    result = _run_service(args)
-    print(result.render())
-    return 0
-
-
-def _cmd_loadgen(args) -> int:
-    """Heavy-traffic load run; optionally persist the summary to a file."""
-    result = _run_service(args)
-    text = result.render()
+    text = run_load(env, scheduler, policy, config).render()
     print(text)
     if args.out:
         from pathlib import Path
@@ -159,13 +154,13 @@ def _cmd_loadgen(args) -> int:
     return 0
 
 
-def _add_service_args(parser, default_jobs: int) -> None:
+def _add_service_args(parser) -> None:
     from .runner import SCHEDULER_NAMES
 
     parser.add_argument("--scheduler", default="Op", choices=SCHEDULER_NAMES)
     parser.add_argument("--rate", type=float, default=50.0,
                         help="long-run arrival rate, jobs per simulated second")
-    parser.add_argument("--jobs", type=int, default=default_jobs,
+    parser.add_argument("--jobs", type=int, default=100_000,
                         help="total jobs to push through the broker")
     parser.add_argument("--process", default="poisson",
                         choices=["poisson", "bursty"])
@@ -235,7 +230,7 @@ def _cmd_render(args) -> int:
 
 
 #: Subcommand names this module contributes to the unified ``repro`` CLI.
-EXPERIMENT_COMMANDS = ("render", "snapshot", "diff", "serve", "loadgen")
+EXPERIMENT_COMMANDS = ("render", "snapshot", "diff", "loadgen")
 
 
 def register_commands(sub: argparse._SubParsersAction) -> None:
@@ -264,17 +259,11 @@ def register_commands(sub: argparse._SubParsersAction) -> None:
     diff.add_argument("new")
     diff.set_defaults(func=_cmd_diff)
 
-    serve = sub.add_parser(
-        "serve",
+    loadgen = sub.add_parser(
+        "loadgen",
         help="serve an open-loop arrival stream through the online broker",
     )
-    _add_service_args(serve, default_jobs=2_000)
-    serve.set_defaults(func=_cmd_serve)
-
-    loadgen = sub.add_parser(
-        "loadgen", help="heavy-traffic load run against the broker"
-    )
-    _add_service_args(loadgen, default_jobs=100_000)
+    _add_service_args(loadgen)
     loadgen.add_argument("--out", default=None,
                          help="also write the summary to this file")
     loadgen.set_defaults(func=_cmd_loadgen)

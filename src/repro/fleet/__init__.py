@@ -62,10 +62,10 @@ from .executor import (
     make_executor,
 )
 from .loadgen import (
-    FleetLoadConfig,
     FleetLoadResult,
     drive_shard_load,
     run_fleet_load,
+    shard_streams,
 )
 from .schema import SchemaError, validate
 from .sharding import (
@@ -104,6 +104,6 @@ __all__ = [
     "FleetClient", "FleetAPIError", "HealthInfo", "JobOutcome",
     "MetricsResult", "QuoteResult", "StatsResult", "SubmitResult",
     "TenantInfo",
-    "FleetLoadConfig", "FleetLoadResult", "drive_shard_load",
-    "run_fleet_load",
+    "FleetLoadResult", "drive_shard_load", "run_fleet_load",
+    "shard_streams",
 ]

@@ -1,4 +1,4 @@
-"""``repro fleet`` — serve, load-drive, and report on a sharded fleet.
+"""``repro fleet`` — serve and load-drive a sharded fleet.
 
 Subcommands (registered into the unified ``repro`` parser):
 
@@ -6,18 +6,18 @@ Subcommands (registered into the unified ``repro`` parser):
   fleet and serve until interrupted.
 * ``repro fleet loadgen`` — the aggregate heavy-traffic driver: per-shard
   open-loop arrival streams, fleet-wide throughput figures, merged
-  report with the fleet SHA-256. ``--executor multiprocess`` fans the
-  shards out to one worker process each; ``--strict`` exits nonzero if
-  any shard was lost; ``--url`` instead drives a *served* fleet over
-  HTTP through the typed :class:`~repro.fleet.client.FleetClient`.
-* ``repro fleet report`` — a small deterministic fleet run printed as
-  the aggregated multi-tenant report (quick look at routing, quotas and
-  per-class attainment without load-driver wall times).
+  report with the fleet SHA-256. ``--format markdown|json`` prints only
+  the aggregated multi-tenant report (json adds the obs snapshot);
+  ``--executor multiprocess`` fans the shards out to one worker process
+  each; ``--strict`` exits nonzero if any shard was lost. ``--url``
+  instead replays the same per-shard schedule against a *served* fleet
+  over HTTP through the typed :class:`~repro.fleet.client.FleetClient`.
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import sys
 from pathlib import Path
@@ -60,27 +60,46 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    if args.url:
-        from .loadgen import run_client_load
+    from ..service import LoadGenConfig
+    from ..workload.distributions import Bucket
+    from . import loadgen
 
-        client_result = run_client_load(
-            args.url, n_jobs=args.jobs, seed=args.seed
+    if args.url and (args.format != "text" or args.strict):
+        print(
+            "repro fleet loadgen: --format markdown|json and --strict need "
+            "the in-process fleet; drop them or --url",
+            file=sys.stderr,
         )
-        text = client_result.render()
-    else:
-        from .loadgen import FleetLoadConfig, run_fleet_load
-
-        load = FleetLoadConfig(
+        return 2
+    try:
+        load = LoadGenConfig(
             n_jobs=args.jobs,
             rate_per_s=args.rate,
             process=args.process,
             mean_burst_jobs=args.mean_burst,
+            bucket=Bucket(args.bucket),
             seed=args.seed,
         )
-        result = run_fleet_load(
-            _fleet_config(args), load, registry=_registry(args)
-        )
-        text = result.render()
+        fleet = None if args.url else _fleet_config(args)
+    except ValueError as exc:
+        print(f"repro fleet loadgen: {exc}", file=sys.stderr)
+        return 2
+    if args.url:
+        from .client import FleetAPIError
+
+        try:
+            text = loadgen.run_client_load(args.url, load).render()
+        except (OSError, http.client.HTTPException, FleetAPIError) as exc:
+            print(f"repro fleet loadgen: {args.url}: {exc}", file=sys.stderr)
+            return 1
+    else:
+        result = loadgen.run_fleet_load(fleet, load, registry=_registry(args))
+        if args.format == "json":
+            text = json.dumps(result.report.as_dict(), indent=2)
+        elif args.format == "markdown":
+            text = result.report.render_markdown()
+        else:
+            text = result.render()
     print(text)
     if args.out:
         out = Path(args.out)
@@ -93,23 +112,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 3
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .loadgen import FleetLoadConfig, run_fleet_load
-
-    load = FleetLoadConfig(
-        n_jobs=args.jobs, rate_per_s=args.rate, seed=args.seed
-    )
-    result = run_fleet_load(_fleet_config(args), load, registry=_registry(args))
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
-        print(json.dumps(result.report.as_dict(), indent=2))
-    elif fmt == "markdown":
-        print(result.report.render_markdown())
-    else:
-        print(result.report.render())
     return 0
 
 
@@ -135,7 +137,7 @@ def register_fleet_commands(sub: "argparse._SubParsersAction") -> None:
     """Attach the ``fleet`` subcommand group to the ``repro`` parser."""
     p_fleet = sub.add_parser(
         "fleet",
-        help="sharded multi-tenant broker: HTTP front, load driver, report",
+        help="sharded multi-tenant broker: HTTP front and load driver",
     )
     fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
 
@@ -163,22 +165,14 @@ def register_fleet_commands(sub: "argparse._SubParsersAction") -> None:
                         help="also write the rendered summary to a file")
     p_load.add_argument("--strict", action="store_true",
                         help="exit 3 if any shard was lost mid-run")
+    p_load.add_argument("--format", default="text",
+                        choices=["text", "markdown", "json"],
+                        help="text: load figures plus report; markdown and "
+                             "json: the aggregated report's tenant rows "
+                             "only (json adds the obs snapshot stamped "
+                             "with the fleet sha)")
     p_load.add_argument("--url", default=None,
-                        help="drive an already-served fleet over HTTP via "
+                        help="replay the same schedule against an "
+                             "already-served fleet over HTTP via "
                              "FleetClient instead of running one in-process")
     p_load.set_defaults(func=_cmd_loadgen)
-
-    p_report = fleet_sub.add_parser(
-        "report", help="small deterministic fleet run, aggregated report"
-    )
-    _add_common_args(p_report)
-    p_report.add_argument("--jobs", type=int, default=2_000)
-    p_report.add_argument("--rate", type=float, default=50.0)
-    p_report.add_argument("--format", default="text",
-                          choices=["text", "markdown", "json"],
-                          help="output format; markdown and json emit the "
-                               "same tenant rows (json adds the obs "
-                               "snapshot stamped with the fleet sha)")
-    p_report.add_argument("--json", action="store_true",
-                          help="shorthand for --format json")
-    p_report.set_defaults(func=_cmd_report)

@@ -9,7 +9,8 @@ time; the multiprocess executor fans the same per-shard streams out to
 one worker process each and they run concurrently. The shards share
 nothing, so the executor cannot change any result — only the wall
 clock — and the ``repro check`` executor-parity pass holds both to one
-``fleet_sha256``.
+``fleet_sha256``. The HTTP driver (:func:`run_client_load`) replays the
+same per-shard streams against a served fleet.
 
 Throughput is reported two ways, and the distinction matters on a
 one-core container:
@@ -30,65 +31,40 @@ serial figure.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Optional, Sequence
 
 from ..common import split_evenly, substream_seed
 from ..service.loadgen import (
     LoadGenConfig,
     SubmissionTiming,
+    arrival_schedule,
     drive_arrivals,
     generate_arrivals,
 )
-from ..workload.document import Job
 from ..workload.generator import WorkloadGenerator
 from .aggregate import FleetReport
 from .sharding import BrokerShard, FleetConfig, FleetManager
-from .tenants import TenantRegistry
+from .tenants import TenantRegistry, default_registry
 
 __all__ = [
-    "FleetLoadConfig",
     "FleetLoadResult",
     "ClientLoadResult",
+    "shard_streams",
     "drive_shard_load",
     "run_fleet_load",
     "run_client_load",
 ]
 
 
-@dataclass(frozen=True, kw_only=True)
-class FleetLoadConfig:
-    """Knobs of one fleet-wide load run.
-
-    ``n_jobs`` is the fleet total; each populated shard receives an equal
-    share (the last populated shard absorbs the remainder — the
-    :func:`repro.common.split_evenly` convention).
-    """
-
-    n_jobs: int = 100_000
-    rate_per_s: float = 50.0
-    process: str = "bursty"  # "poisson" | "bursty"
-    mean_burst_jobs: float = 10.0
-    seed: int = 2024
-
-    def __post_init__(self) -> None:
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be positive")
-        if self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive")
-        if self.process not in ("poisson", "bursty"):
-            raise ValueError("process must be 'poisson' or 'bursty'")
-        if self.mean_burst_jobs < 1:
-            raise ValueError("mean_burst_jobs must be >= 1")
-
-
 @dataclass
 class FleetLoadResult:
     """Operator-facing summary of one fleet load run."""
 
-    config: FleetLoadConfig
+    config: LoadGenConfig
     fleet: FleetConfig
     report: FleetReport
     shard_timings: list[SubmissionTiming]
@@ -178,6 +154,33 @@ def _tenant_rotation(
         yield tenant_ids[rng.randrange(len(tenant_ids))]
 
 
+def shard_streams(
+    load: LoadGenConfig, tenants_by_shard: Mapping[int, Sequence[str]]
+) -> dict[int, LoadGenConfig]:
+    """Split one fleet-wide stream into per-shard streams: the one split.
+
+    ``load.n_jobs`` is the fleet total; each populated shard (one with
+    tenants routed to it) receives an equal share — the last absorbs
+    the remainder, the :func:`repro.common.split_evenly` convention —
+    under its own substream-derived seed, so the fleet's workload is a
+    pure function of ``(seed, populated shards)``. Shards whose share is
+    zero are left out.
+    """
+    populated = sorted(i for i, ids in tenants_by_shard.items() if ids)
+    if not populated:
+        raise ValueError("no shard has any tenants routed to it")
+    shares = split_evenly(load.n_jobs, len(populated))
+    return {
+        index: replace(
+            load,
+            n_jobs=n_jobs,
+            seed=substream_seed(load.seed, "shard", index, "arrivals"),
+        )
+        for index, n_jobs in zip(populated, shares)
+        if n_jobs
+    }
+
+
 def drive_shard_load(
     shard: BrokerShard, stream: LoadGenConfig, rotation_seed: int
 ) -> SubmissionTiming:
@@ -193,78 +196,66 @@ def drive_shard_load(
     # The tenant draw rides the arrival iterator, outside the timed
     # region: drive_arrivals times submit() round trips only.
     arrivals = (
-        (arrival_time, _Tagged(jobs, next(rotation)))
+        (arrival_time, jobs, next(rotation))
         for arrival_time, jobs in generate_arrivals(stream, generator=generator)
     )
-    submit: Callable[[float, list[Job]], object] = (
-        lambda arrival_time, jobs: shard.submit(
-            jobs.tenant_id, jobs, arrival_time=arrival_time  # type: ignore[attr-defined]
-        )
+    return drive_arrivals(
+        lambda arrival_time, jobs, tenant_id: shard.submit(
+            tenant_id, jobs, arrival_time=arrival_time
+        ),
+        arrivals,
     )
-    return drive_arrivals(submit, arrivals)
 
 
 def run_fleet_load(
-    fleet_config: Optional[FleetConfig] = None,
-    load_config: Optional[FleetLoadConfig] = None,
+    fleet_config: FleetConfig,
+    load: LoadGenConfig,
     registry: Optional[TenantRegistry] = None,
     executor: Optional[str] = None,
 ) -> FleetLoadResult:
     """Drive one open-loop load run through a fresh fleet.
 
-    Empty shards (no tenants routed to them) receive no arrivals; their
-    brokers still run to completion so the merged trace covers the whole
-    fleet. Submission timing excludes job synthesis and tenant draws —
-    only the quote/admit/dispatch round trip is on the clock, same
-    convention as the single-broker driver. ``executor`` overrides the
-    fleet config's choice (the CLI's ``--executor`` flag lands here).
+    ``load`` is the fleet-wide stream, split per shard by
+    :func:`shard_streams`. Empty shards (no tenants routed to them)
+    receive no arrivals; their brokers still run to completion so the
+    merged trace covers the whole fleet. Submission timing excludes job
+    synthesis and tenant draws — only the quote/admit/dispatch round
+    trip is on the clock, same convention as the single-broker driver.
+    ``executor`` overrides the fleet config's choice (the CLI's
+    ``--executor`` flag lands here).
     """
-    fleet_config = fleet_config if fleet_config is not None else FleetConfig()
-    load_config = load_config if load_config is not None else FleetLoadConfig()
+    # Every refusal happens before FleetManager exists: under the
+    # multiprocess executor a later one would leak the workers.
+    if load.bucket != fleet_config.bucket:
+        raise ValueError(
+            f"load bucket {load.bucket.value!r} differs from the fleet's "
+            f"{fleet_config.bucket.value!r}"
+        )
+    registry = registry if registry is not None else default_registry()
+    n_shards = fleet_config.n_shards
+    streams = shard_streams(load, {
+        index: [t.tenant_id for t in registry.tenants_for_shard(index, n_shards)]
+        for index in range(n_shards)
+    })
     manager = FleetManager(fleet_config, registry, executor=executor)
 
-    n_shards = manager.n_shards
-    populated = [
-        index
-        for index in range(n_shards)
-        if manager.registry.tenants_for_shard(index, n_shards)
-    ]
-    if not populated:
-        raise ValueError("no shard has any tenants routed to it")
-    shares = split_evenly(load_config.n_jobs, len(populated))
-    assignments: dict[int, tuple[LoadGenConfig, int]] = {}
-    for index, n_jobs in zip(populated, shares):
-        if n_jobs == 0:
-            continue
-        assignments[index] = (
-            LoadGenConfig(
-                n_jobs=n_jobs,
-                rate_per_s=load_config.rate_per_s,
-                process=load_config.process,
-                mean_burst_jobs=load_config.mean_burst_jobs,
-                bucket=fleet_config.bucket,
-                seed=substream_seed(load_config.seed, "shard", index, "arrivals"),
-            ),
-            load_config.seed,
-        )
-
     t0 = time.perf_counter()  # repro: allow[DET001] submit-phase meter
-    driven = manager.executor.run_load(assignments)
+    driven = manager.executor.run_load(
+        {index: (stream, load.seed) for index, stream in streams.items()}
+    )
     submit_phase_wall_s = time.perf_counter() - t0  # repro: allow[DET001] submit-phase meter
 
     t0 = time.perf_counter()  # repro: allow[DET001] drain-time meter
     report = manager.finish()
     drain_wall_s = time.perf_counter() - t0  # repro: allow[DET001] drain-time meter
 
-    timings: list[SubmissionTiming] = []
-    for index in range(n_shards):
-        timing = driven.get(index)
-        timings.append(timing if timing is not None else SubmissionTiming())
     return FleetLoadResult(
-        config=load_config,
+        config=load,
         fleet=fleet_config,
         report=report,
-        shard_timings=timings,
+        shard_timings=[
+            driven.get(index) or SubmissionTiming() for index in range(n_shards)
+        ],
         drain_wall_s=drain_wall_s,
         submit_phase_wall_s=submit_phase_wall_s,
         executor_name=manager.executor_name,
@@ -306,47 +297,55 @@ class ClientLoadResult:
 
 
 def run_client_load(
-    url: str,
-    n_jobs: int = 200,
-    mean_group_jobs: float = 5.0,
-    seed: int = 2024,
-    timeout_s: float = 30.0,
+    url: str, load: LoadGenConfig, timeout_s: float = 30.0
 ) -> ClientLoadResult:
     """Drive a *served* fleet over HTTP through :class:`FleetClient`.
 
     The in-process driver (:func:`run_fleet_load`) measures the brokers;
     this drives the whole service — schema validation, routing, JSON —
-    against whatever ``repro fleet serve`` stood up. The tenant draw and
-    group sizes are seeded, so two runs against identical servers issue
-    identical requests. Tenants whose quota the server reports exhausted
-    (HTTP 429) are retired from the rotation; the run ends when ``n_jobs``
-    have been accepted for processing or every tenant is exhausted.
+    against whatever ``repro fleet serve`` stood up. It replays the
+    in-process schedule: tenants are grouped by home shard as
+    ``GET /v1/tenants`` reports them, :func:`shard_streams` splits
+    ``load``, and each shard's ``(arrival_time, tenant, n_jobs)``
+    sequence is the one :func:`drive_shard_load` would submit, sent with
+    its ``arrival_time_s``. The shards are interleaved in ``(time,
+    shard)`` order; each shard's own order is kept, as its broker
+    requires. After a tenant's first HTTP 429 its later groups are
+    skipped without a request; ``quota_refusals`` counts both.
     """
     from .client import FleetAPIError, FleetClient
 
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be positive")
-    rng = random.Random(substream_seed(seed, "client-load"))
     result = ClientLoadResult(url=url)
     with FleetClient(url, timeout_s=timeout_s) as client:
-        pool = [t.tenant_id for t in client.tenants()]
-        if not pool:
-            raise ValueError(f"fleet at {url} has no tenants")
+        by_shard: dict[int, list[str]] = {}
+        for tenant in client.tenants():
+            by_shard.setdefault(tenant.shard, []).append(tenant.tenant_id)
+        schedules = [
+            (
+                (t, index, n_jobs, tenant_id)
+                for (t, n_jobs), tenant_id in zip(
+                    arrival_schedule(stream),
+                    _tenant_rotation(by_shard[index], index, load.seed),
+                )
+            )
+            for index, stream in shard_streams(load, by_shard).items()
+        ]
         exhausted: list[str] = []
-        span = max(1, round(2 * mean_group_jobs) - 1)
-        while result.n_submitted < n_jobs and pool:
-            tenant_id = pool[rng.randrange(len(pool))]
-            size = min(1 + rng.randrange(span), n_jobs - result.n_submitted)
+        for t, _, n_jobs, tenant_id in heapq.merge(
+            *schedules, key=lambda arrival: arrival[:2]
+        ):
+            if tenant_id in exhausted:
+                result.quota_refusals += 1
+                continue
             t0 = time.perf_counter()  # repro: allow[DET001] throughput meter
             try:
-                submitted = client.submit(tenant_id, size)
+                submitted = client.submit(tenant_id, n_jobs, arrival_time_s=t)
             except FleetAPIError as exc:
-                if exc.code == "quota_exhausted":
-                    pool.remove(tenant_id)
-                    exhausted.append(tenant_id)
-                    result.quota_refusals += 1
-                    continue
-                raise
+                if exc.code != "quota_exhausted":
+                    raise
+                exhausted.append(tenant_id)
+                result.quota_refusals += 1
+                continue
             finally:
                 result.submit_wall_s += time.perf_counter() - t0  # repro: allow[DET001] throughput meter
             result.n_groups += 1
@@ -355,11 +354,3 @@ def run_client_load(
             result.n_rejected += len(submitted.outcomes) - submitted.n_admitted
         result.exhausted_tenants = tuple(exhausted)
     return result
-
-
-class _Tagged(list):
-    """A job group that carries its tenant through the timing loop."""
-
-    def __init__(self, jobs: list[Job], tenant_id: str) -> None:
-        super().__init__(jobs)
-        self.tenant_id = tenant_id

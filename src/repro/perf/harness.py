@@ -494,13 +494,13 @@ def _fleet_runs(
     on one fleet SHA-256 (same seed, same config) and lose no shard, so
     each fleet scenario doubles as an enforced determinism witness.
     """
-    from ..fleet import FleetConfig, FleetLoadConfig, default_registry
-    from ..fleet import run_fleet_load
+    from ..fleet import FleetConfig, default_registry, run_fleet_load
+    from ..service import LoadGenConfig
 
     fleet = FleetConfig(
         n_shards=n_shards, seed=2024, scheduler="Op", policy=_broker_policy()
     )
-    load = FleetLoadConfig(n_jobs=n_jobs, process="bursty", **_LOAD_KNOBS)
+    load = LoadGenConfig(n_jobs=n_jobs, process="bursty", **_LOAD_KNOBS)
     reps = max(1, reps)
     runs: dict[str, list["FleetLoadResult"]] = {e: [] for e in executors}
     with _gc_paused():

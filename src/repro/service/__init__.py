@@ -19,6 +19,7 @@ from .loadgen import (
     LoadGenConfig,
     LoadGenResult,
     SubmissionTiming,
+    arrival_schedule,
     drive_arrivals,
     generate_arrivals,
     run_load,
@@ -33,5 +34,5 @@ __all__ = [
     "SLAQuote", "quote_job",
     "replay_workload", "run_one_online",
     "LoadGenConfig", "LoadGenResult", "SubmissionTiming",
-    "drive_arrivals", "generate_arrivals", "run_load",
+    "arrival_schedule", "drive_arrivals", "generate_arrivals", "run_load",
 ]

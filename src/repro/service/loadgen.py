@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "LoadGenConfig",
     "LoadGenResult",
     "SubmissionTiming",
+    "arrival_schedule",
     "generate_arrivals",
     "drive_arrivals",
     "run_load",
@@ -77,24 +78,17 @@ class LoadGenConfig:
             raise ValueError("first_arrival_s cannot be negative")
 
 
-def generate_arrivals(
-    config: LoadGenConfig,
-    generator: Optional[WorkloadGenerator] = None,
-) -> Iterator[tuple[float, list[Job]]]:
-    """Yield ``(arrival_time_s, jobs)`` groups until ``n_jobs`` jobs are out.
+def arrival_schedule(config: LoadGenConfig) -> Iterator[tuple[float, int]]:
+    """Yield ``(arrival_time_s, n_jobs)`` groups until ``n_jobs`` jobs are out.
 
-    Arrival times are workload-relative (the :class:`Batch` convention).
-    Job synthesis reuses the paper's workload generator so the load driver
-    stresses the broker with the same document population the offline
-    experiments use.
+    The open-loop stream itself, without job bodies: every driver — the
+    single broker, each fleet shard, the HTTP client — submits exactly
+    this sequence. Arrival times are workload-relative (the
+    :class:`Batch` convention).
     """
-    gen = generator if generator is not None else WorkloadGenerator(
-        bucket=config.bucket, seed=config.seed
-    )
     rng = np.random.default_rng(config.seed ^ 0x5EED)
     t = config.first_arrival_s
     emitted = 0
-    group_id = 0
     while emitted < config.n_jobs:
         if config.process == "poisson":
             size = 1
@@ -102,16 +96,33 @@ def generate_arrivals(
         else:
             size = 1 + int(rng.poisson(config.mean_burst_jobs - 1.0))
             gap_mean = config.mean_burst_jobs / config.rate_per_s
-        if group_id > 0:
+        if emitted:
             t += float(rng.exponential(gap_mean))
         size = min(size, config.n_jobs - emitted)
-        jobs = [
+        emitted += size
+        yield t, size
+
+
+def generate_arrivals(
+    config: LoadGenConfig,
+    generator: Optional[WorkloadGenerator] = None,
+) -> Iterator[tuple[float, list[Job]]]:
+    """Yield ``(arrival_time_s, jobs)``: :func:`arrival_schedule` with bodies.
+
+    Job synthesis reuses the paper's workload generator so the load driver
+    stresses the broker with the same document population the offline
+    experiments use.
+    """
+    gen = generator if generator is not None else WorkloadGenerator(
+        bucket=config.bucket, seed=config.seed
+    )
+    emitted = 0
+    for group_id, (t, size) in enumerate(arrival_schedule(config)):
+        yield t, [
             gen.sample_job(emitted + k + 1, batch_id=group_id, arrival_time=t)
             for k in range(size)
         ]
         emitted += size
-        group_id += 1
-        yield t, jobs
 
 
 @dataclass
@@ -136,22 +147,24 @@ class SubmissionTiming:
 
 
 def drive_arrivals(
-    submit: Callable[[float, list[Job]], object],
-    arrivals: Iterable[tuple[float, list[Job]]],
+    submit: Callable[..., object],
+    arrivals: Iterable[tuple[Any, ...]],
 ) -> SubmissionTiming:
     """Push an arrival stream through ``submit``, timing each round trip.
 
-    ``submit(arrival_time, jobs)`` performs one submission group; both the
-    single-broker driver (:func:`run_load`) and the fleet's per-shard
-    driver (:mod:`repro.fleet.loadgen`) share this loop so their
-    throughput figures measure the same thing. Per-job quote latency is
-    the group's wall cost divided by the group size.
+    Each arrival is ``(arrival_time, jobs, *rest)`` and performs one
+    submission group as ``submit(arrival_time, jobs, *rest)`` — the fleet
+    driver carries the group's tenant in ``rest``. Both the single-broker
+    driver (:func:`run_load`) and the fleet's per-shard driver
+    (:mod:`repro.fleet.loadgen`) share this loop so their throughput
+    figures measure the same thing. Per-job quote latency is the group's
+    wall cost divided by the group size.
     """
     timing = SubmissionTiming()
-    for arrival_time, jobs in arrivals:
+    for arrival_time, jobs, *rest in arrivals:
         t0 = time.perf_counter()  # repro: allow[DET001] quote-latency meter
         c0 = time.process_time()  # repro: allow[DET001] quote-latency meter
-        submit(arrival_time, jobs)
+        submit(arrival_time, jobs, *rest)
         group_s = time.perf_counter() - t0  # repro: allow[DET001] quote-latency meter
         timing.submit_cpu_s += time.process_time() - c0  # repro: allow[DET001] quote-latency meter
         timing.submit_wall_s += group_s

@@ -18,7 +18,6 @@ from repro.fleet import (
     GOLD,
     SILVER,
     FleetConfig,
-    FleetLoadConfig,
     FleetManager,
     ScaledTicket,
     SLAClass,
@@ -27,11 +26,14 @@ from repro.fleet import (
     UnknownTenantError,
     default_registry,
     run_fleet_load,
+    shard_streams,
 )
 from repro.fleet.sharding import QUOTA_REASON
 from repro.metrics.tickets import ProportionalTicket
+from repro.service import LoadGenConfig
 from repro.service.policy import SLAPolicy
 from repro.sim.tracing import JobRecord
+from repro.workload.distributions import Bucket
 
 
 def fast_config(**overrides) -> FleetConfig:
@@ -255,10 +257,39 @@ class TestFleetLoadConfig:
         ],
     )
     def test_invalid_knobs_refused_at_construction(self, overrides, message):
-        # Refused here, before run_fleet_load builds a fleet: under the
-        # multiprocess executor a later refusal would leak the workers.
+        # The fleet driver takes the service's LoadGenConfig. Bad knobs are
+        # refused here, before run_fleet_load builds a fleet. Under the
+        # multiprocess executor, a later refusal would leak the workers.
         with pytest.raises(ValueError, match=message):
-            FleetLoadConfig(**overrides)
+            LoadGenConfig(**overrides)
+
+
+# ----------------------------------------------------------------------
+# The per-shard split and the driver's refusals
+# ----------------------------------------------------------------------
+class TestShardStreams:
+    def test_split_covers_populated_shards_only(self):
+        load = LoadGenConfig(n_jobs=101, process="bursty", seed=5)
+        streams = shard_streams(load, {0: ["a"], 1: [], 2: ["b", "c"]})
+        assert sorted(streams) == [0, 2]
+        assert sum(s.n_jobs for s in streams.values()) == 101
+        assert len({s.seed for s in streams.values()}) == 2
+        assert all(s.process == "bursty" for s in streams.values())
+
+    def test_no_populated_shard_is_refused(self):
+        with pytest.raises(ValueError, match="no shard has any tenants"):
+            shard_streams(LoadGenConfig(n_jobs=10), {0: [], 1: []})
+
+    def test_bucket_mismatch_refused_before_any_worker_spawns(self):
+        import multiprocessing
+
+        with pytest.raises(ValueError, match="bucket"):
+            run_fleet_load(
+                fast_config(executor="multiprocess"),
+                LoadGenConfig(n_jobs=10, bucket=Bucket.LARGE),
+                registry=default_registry(4),
+            )
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +303,9 @@ class TestFleetDeterminism:
         )
         return run_fleet_load(
             fast_config(n_shards=2, seed=seed),
-            FleetLoadConfig(n_jobs=300, rate_per_s=50.0, seed=seed),
+            LoadGenConfig(
+                n_jobs=300, rate_per_s=50.0, process="bursty", seed=seed
+            ),
             registry=registry,
         )
 

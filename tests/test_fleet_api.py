@@ -5,25 +5,53 @@ the one versioned envelope ``{"error": {"code", "message", "path"}}`` —
 malformed bodies get a 400 with a path-qualified schema error and never
 touch a shard, unknown tenants get 404, exhausted quotas get the
 distinct 429, and no request — including one that trips an internal
-fault — kills the server.
+fault — kills the server. The HTTP load driver (``run_client_load``)
+must replay the in-process driver's per-shard schedule, and the load
+verbs must end bad input in one line.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from collections import defaultdict
+from contextlib import contextmanager
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.fleet import (
+    BrokerShard,
+    FleetAPIError,
     FleetAPIServer,
+    FleetClient,
     FleetConfig,
     FleetManager,
     TenantSpec,
     TenantRegistry,
+    default_registry,
+    run_fleet_load,
+    shard_streams,
 )
+from repro.fleet.loadgen import run_client_load
+from repro.service import LoadGenConfig, arrival_schedule
+
+
+@contextmanager
+def serving(manager):
+    """An in-thread API server over ``manager``, shut down on exit."""
+    srv = FleetAPIServer(manager, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
 
 
 @pytest.fixture
@@ -37,15 +65,8 @@ def server():
     manager = FleetManager(
         FleetConfig(n_shards=2, seed=2024, pretrain_jobs=40), registry
     )
-    srv = FleetAPIServer(manager, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with serving(manager) as srv:
         yield srv
-    finally:
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
 
 
 def request(srv, path, body=None, raw: bytes = None):
@@ -227,3 +248,138 @@ class TestErrorContract:
         assert "disk on fire" in body["error"]["message"]
         status, _ = request(server, "/v1/health")
         assert status == 200
+
+
+# ----------------------------------------------------------------------
+# The HTTP load driver
+# ----------------------------------------------------------------------
+DRIVER_FLEET = FleetConfig(n_shards=3, seed=2024, pretrain_jobs=40)
+DRIVER_LOAD = LoadGenConfig(
+    n_jobs=150, process="bursty", mean_burst_jobs=5.0, seed=11
+)
+
+
+def served_load(registry):
+    """``DRIVER_LOAD`` over HTTP against a fresh fleet, then drained."""
+    manager = FleetManager(DRIVER_FLEET, registry)
+    with serving(manager) as srv:
+        result = run_client_load(srv.url, DRIVER_LOAD)
+    return result, manager.finish()
+
+
+@pytest.fixture
+def served_groups(monkeypatch):
+    """Per shard, each ``(arrival_time_s, tenant, n_jobs)`` submitted."""
+    groups = defaultdict(list)
+    submit_count = FleetManager.submit_count
+
+    def record(manager, tenant_id, n_jobs, arrival_time_s=None):
+        groups[manager.shard_index_for(tenant_id)].append(
+            (arrival_time_s, tenant_id, n_jobs)
+        )
+        return submit_count(manager, tenant_id, n_jobs, arrival_time_s)
+
+    monkeypatch.setattr(FleetManager, "submit_count", record)
+    return groups
+
+
+class TestClientLoad:
+    def test_http_replays_the_in_process_schedule(
+        self, monkeypatch, served_groups
+    ):
+        in_process = defaultdict(list)
+        submit = BrokerShard.submit
+
+        def record(shard, tenant_id, jobs, arrival_time=None):
+            in_process[shard.index].append(
+                (arrival_time, tenant_id, len(jobs))
+            )
+            return submit(shard, tenant_id, jobs, arrival_time=arrival_time)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BrokerShard, "submit", record)
+            run_fleet_load(
+                DRIVER_FLEET, DRIVER_LOAD, registry=default_registry(12)
+            )
+        result, _ = served_load(default_registry(12))
+        assert sorted(in_process) == [0, 1, 2]
+        # Equal lists also pin that every POST carried its arrival time.
+        assert served_groups == in_process
+        assert result.n_submitted == DRIVER_LOAD.n_jobs
+
+    def test_served_runs_drain_to_one_digest(self, served_groups):
+        _, first = served_load(default_registry(12))
+        arrival_times = {
+            index: {t for t, _, _ in groups}
+            for index, groups in served_groups.items()
+        }
+        _, second = served_load(default_registry(12))
+        assert first.sha256 == second.sha256
+        assert len(arrival_times) == 3
+        assert all(len(times) > 1 for times in arrival_times.values())
+
+    def test_quota_exhaustion_skips_the_tenants_later_groups(
+        self, monkeypatch
+    ):
+        registry = TenantRegistry(
+            [
+                TenantSpec(tenant_id="roomy"),
+                TenantSpec(tenant_id="capped", quota_jobs=5),
+            ]
+        )
+        refused = []
+        submit = FleetClient.submit
+
+        def record(client, tenant_id, n_jobs, arrival_time_s=None):
+            try:
+                return submit(client, tenant_id, n_jobs, arrival_time_s)
+            except FleetAPIError as exc:
+                refused.append((tenant_id, exc.status))
+                raise
+
+        monkeypatch.setattr(FleetClient, "submit", record)
+        result, _ = served_load(registry)
+        assert refused == [("capped", 429)]
+        assert result.exhausted_tenants == ("capped",)
+        by_shard = defaultdict(list)
+        for tenant in registry:
+            by_shard[registry.shard_index(tenant.tenant_id, 3)].append(
+                tenant.tenant_id
+            )
+        scheduled = sum(
+            len(list(arrival_schedule(stream)))
+            for stream in shard_streams(DRIVER_LOAD, by_shard).values()
+        )
+        # The 429 plus every skipped group, none of them sent.
+        assert result.quota_refusals > 1
+        assert result.n_groups + result.quota_refusals == scheduled
+
+
+@pytest.fixture
+def closed_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["loadgen", "--jobs", "0"], 2),
+        (["loadgen", "--rate", "0"], 2),
+        (["fleet", "loadgen", "--rate", "0"], 2),
+        (["fleet", "loadgen", "--mean-burst", "0.5"], 2),
+        (["fleet", "loadgen", "--url", "{closed}", "--jobs", "10"], 1),
+        (["fleet", "loadgen", "--url", "{closed}", "--format", "json"], 2),
+        (["fleet", "loadgen", "--url", "{closed}", "--strict"], 2),
+    ],
+)
+def test_load_verbs_end_bad_input_in_one_line(argv, code, closed_url, capsys):
+    argv = [arg.format(closed=closed_url) for arg in argv]
+    assert cli_main(argv) == code
+    out, err = capsys.readouterr()
+    verb = "repro " + " ".join(argv[: argv.index("loadgen") + 1])
+    assert out == ""
+    assert err.startswith(f"{verb}: ")
+    assert err.count("\n") == 1

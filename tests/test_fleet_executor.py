@@ -325,14 +325,10 @@ class TestDeprecationAliases:
         assert not hasattr(FleetConfig(n_shards=2), "pretrain_samples")
 
     def test_configs_reject_positional_construction(self):
-        from repro.fleet import FleetLoadConfig
-
         with pytest.raises(TypeError):
             FleetConfig(8)
         with pytest.raises(TypeError):
             LoadGenConfig(100)
-        with pytest.raises(TypeError):
-            FleetLoadConfig(100)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Three integration surfaces over small real fleets:
 
 * ``GET /v1/metrics`` speaks valid Prometheus text and
   ``FleetClient.metrics()`` parses it into typed families;
-* ``repro fleet report --format json`` emits exactly the tenant rows the
+* ``repro fleet loadgen --format json`` emits exactly the tenant rows the
   markdown table renders, plus the obs snapshot stamped with the fleet
   sha;
 * the multiprocess executor ships each worker's registry home
@@ -25,13 +25,16 @@ from repro.fleet import (
     FleetAPIServer,
     FleetClient,
     FleetConfig,
-    FleetLoadConfig,
     FleetManager,
     TenantRegistry,
     TenantSpec,
     run_fleet_load,
 )
 from repro.obs import validate_exposition
+from repro.service import LoadGenConfig
+
+
+LOAD = LoadGenConfig(n_jobs=120, rate_per_s=50.0, process="bursty", seed=2024)
 
 
 def small_fleet_config(**overrides: object) -> FleetConfig:
@@ -94,7 +97,7 @@ class TestReportFormats:
     def result(self):
         return run_fleet_load(
             small_fleet_config(),
-            FleetLoadConfig(n_jobs=120, rate_per_s=50.0, seed=2024),
+            LOAD,
             registry=two_tenants(),
         )
 
@@ -116,7 +119,7 @@ class TestReportFormats:
 
     def test_cli_report_json_round_trips(self, capsys):
         assert cli_main([
-            "fleet", "report", "--shards", "2", "--tenants", "2",
+            "fleet", "loadgen", "--shards", "2", "--tenants", "2",
             "--jobs", "60", "--format", "json",
         ]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -129,7 +132,7 @@ class TestReportFormats:
     def test_telemetry_off_leaves_obs_out_but_sha_fixed(self, result):
         dark = run_fleet_load(
             small_fleet_config(telemetry=False),
-            FleetLoadConfig(n_jobs=120, rate_per_s=50.0, seed=2024),
+            LOAD,
             registry=two_tenants(),
         )
         assert dark.report.obs is None
@@ -139,13 +142,12 @@ class TestReportFormats:
 
 class TestExecutorPiggyback:
     def test_multiprocess_fold_matches_inprocess_observer_totals(self):
-        load = FleetLoadConfig(n_jobs=120, rate_per_s=50.0, seed=2024)
         local = run_fleet_load(
-            small_fleet_config(), load, registry=two_tenants()
+            small_fleet_config(), LOAD, registry=two_tenants()
         )
         remote = run_fleet_load(
             small_fleet_config(executor="multiprocess"),
-            load,
+            LOAD,
             registry=two_tenants(),
         )
         assert remote.report.sha256 == local.report.sha256

@@ -74,10 +74,10 @@ class TestFleet:
     def test_shard_policy_snapshots_merge_in_shard_order(self):
         from repro.fleet import (
             FleetConfig,
-            FleetLoadConfig,
             default_registry,
             run_fleet_load,
         )
+        from repro.service import LoadGenConfig
 
         scaling = PolicyConfig(
             policies=(
@@ -91,7 +91,9 @@ class TestFleet:
         def one_run():
             return run_fleet_load(
                 FleetConfig(n_shards=2, seed=2024, scaling=scaling),
-                FleetLoadConfig(n_jobs=120, rate_per_s=50.0, seed=2024),
+                LoadGenConfig(
+                    n_jobs=120, rate_per_s=50.0, process="bursty", seed=2024
+                ),
                 registry=default_registry(6),
             ).report
 
@@ -109,14 +111,16 @@ class TestFleet:
     def test_no_scaling_config_keeps_report_policy_none(self):
         from repro.fleet import (
             FleetConfig,
-            FleetLoadConfig,
             default_registry,
             run_fleet_load,
         )
+        from repro.service import LoadGenConfig
 
         report = run_fleet_load(
             FleetConfig(n_shards=2, seed=2024),
-            FleetLoadConfig(n_jobs=60, rate_per_s=50.0, seed=2024),
+            LoadGenConfig(
+                n_jobs=60, rate_per_s=50.0, process="bursty", seed=2024
+            ),
             registry=default_registry(6),
         ).report
         assert report.policy is None

@@ -28,6 +28,7 @@ from repro.service import (
     BurstBroker,
     LoadGenConfig,
     SLAPolicy,
+    arrival_schedule,
     generate_arrivals,
     quote_job,
     run_load,
@@ -332,15 +333,29 @@ class TestLoadGen:
              for t, jobs in generate_arrivals(config)]
         assert a == b
 
+    @pytest.mark.parametrize("process", ["poisson", "bursty"])
+    def test_schedule_is_the_arrival_stream_without_bodies(self, process):
+        config = LoadGenConfig(
+            n_jobs=90, process=process, mean_burst_jobs=6.0, seed=21
+        )
+        assert list(arrival_schedule(config)) == [
+            (t, len(jobs)) for t, jobs in generate_arrivals(config)
+        ]
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LoadGenConfig(n_jobs=0)
-        with pytest.raises(ValueError):
-            LoadGenConfig(rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            LoadGenConfig(process="sawtooth")
-        with pytest.raises(ValueError):
-            LoadGenConfig(process="bursty", mean_burst_jobs=0.5)
+        # Refused at construction, before any driver builds a broker or
+        # a fleet: under the multiprocess executor a later refusal would
+        # leak the workers.
+        for overrides, message in [
+            ({"n_jobs": 0}, "n_jobs must be positive"),
+            ({"rate_per_s": 0.0}, "rate_per_s must be positive"),
+            ({"process": "sawtooth"}, "process must be 'poisson' or 'bursty'"),
+            ({"process": "bursty", "mean_burst_jobs": 0.5},
+             "mean_burst_jobs must be >= 1"),
+            ({"first_arrival_s": -1.0}, "first_arrival_s cannot be negative"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                LoadGenConfig(**overrides)
 
     def test_run_load_end_to_end(self, fast_config):
         env = CloudBurstEnvironment(fast_config)
