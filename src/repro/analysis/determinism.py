@@ -344,6 +344,7 @@ def _run_fleet(cell: Cell, seed: int) -> CellRun:
             n_shards=cell.shards,
             seed=seed,
             scheduler=cell.scheduler,
+            executor=cell.executor,
             telemetry=cell.obs,
             scaling=None if cell.policy is None else POLICIES[cell.policy],
         ),
@@ -351,7 +352,6 @@ def _run_fleet(cell: Cell, seed: int) -> CellRun:
             n_jobs=cell.jobs, rate_per_s=50.0, process="bursty", seed=seed
         ),
         registry=registry,
-        executor=cell.executor,
     ).report
     digests = {"fleet": report.sha256}
     if report.policy is not None:

@@ -30,7 +30,7 @@ on the degraded digest too.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..analysis.determinism import hash_trace
@@ -178,23 +178,7 @@ class FleetReport:
         report — ``--format json`` and ``--format markdown`` emit
         exactly these rows.
         """
-        return [
-            {
-                "tenant_id": t.tenant_id,
-                "sla_class": t.sla_class,
-                "shard": t.shard,
-                "quota_jobs": t.quota_jobs,
-                "submitted": t.submitted,
-                "admitted": t.admitted,
-                "rejected": t.rejected,
-                "quota_rejected": t.quota_rejected,
-                "completed": t.completed,
-                "attainment": t.attainment,
-                "penalty_usd": t.penalty_usd,
-                "ledger_hash": t.ledger_hash,
-            }
-            for t in self.tenants
-        ]
+        return [asdict(t) for t in self.tenants]
 
     def render_markdown(self) -> str:
         """The report as a markdown document with one tenant table."""

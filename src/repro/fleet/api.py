@@ -39,8 +39,9 @@ status::
   executor) or the fleet is still booting behind the bound socket.
 
 :class:`~repro.fleet.client.FleetClient` is the typed consumer of this
-contract (and still parses the pre-PR-8 ``type``/``details`` shape for
-one release, with a deprecation warning).
+contract. A request body that stops short of its ``Content-Length`` is
+a 400 ``invalid_request`` once :attr:`_Handler.timeout` expires, so a
+torn client cannot wedge the single-threaded front.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ from __future__ import annotations
 import json
 import math
 import signal
+import sys
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from ..obs.exposition import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from ..obs.exposition import render_exposition
@@ -93,6 +95,9 @@ QUOTE_SCHEMA: dict = {
 #: larger is a client bug or abuse, refused before parsing.
 MAX_BODY_BYTES = 64 * 1024
 
+#: What a route returns: a JSON object, or exposition text for /v1/metrics.
+Payload = Union[dict, str]
+
 
 class _APIError(Exception):
     """A request failure with a wire status and enveloped error body.
@@ -125,6 +130,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "FleetAPIServer"
     protocol_version = "HTTP/1.1"
+    #: Socket timeout, seconds: bounds how long one client can hold the
+    #: single-threaded server on a silent socket or a short body.
+    timeout = 10.0
 
     # Quiet by default: the test suite and the CLI's --quiet mode both
     # run with logging off; serve_fleet turns it on for operators.
@@ -135,26 +143,18 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(
-        self, status: int, text: str, content_type: str = "text/plain; charset=utf-8"
-    ) -> None:
-        body = text.encode("utf-8")
+    def _send(self, status: int, payload: Payload) -> None:
+        """A ``dict`` goes out as JSON, a ``str`` as exposition text."""
+        if isinstance(payload, str):
+            body, content_type = payload.encode("utf-8"), METRICS_CONTENT_TYPE
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-
-    def _send_error(self, error: _APIError) -> None:
-        self._send_json(error.status, error.body(self.path))
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length", 0) or 0)
@@ -164,7 +164,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _APIError(
                 413, "body_too_large", f"body exceeds {MAX_BODY_BYTES} bytes"
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.close_connection = True
+            raise _APIError(
+                400, "invalid_request", "body shorter than Content-Length"
+            ) from None
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -179,84 +185,62 @@ class _Handler(BaseHTTPRequestHandler):
         return manager
 
     def _dispatch(
-        self, handler: Callable[[], tuple[int, dict[str, Any]]]
+        self, handler: Optional[Callable[[], tuple[int, Payload]]]
     ) -> None:
+        """Run one route (``None``: no such route) and send its reply,
+        mapping every failure onto the one error envelope."""
         try:
+            if handler is None:
+                raise _APIError(404, "not_found", f"no route {self.path}")
             status, payload = handler()
         except _APIError as exc:
-            self._send_error(exc)
+            error = exc
         except SchemaError as exc:
-            self._send_error(
-                _APIError(400, "schema_violation", exc.message, exc.path)
-            )
+            error = _APIError(400, "schema_violation", exc.message, exc.path)
         except UnknownTenantError as exc:
-            self._send_error(
-                _APIError(404, "unknown_tenant", f"no such tenant: {exc.args[0]!r}")
+            error = _APIError(
+                404, "unknown_tenant", f"no such tenant: {exc.args[0]!r}"
             )
         except ShardLostError as exc:
-            self._send_error(_APIError(503, "shard_lost", str(exc)))
+            error = _APIError(503, "shard_lost", str(exc))
         except ValueError as exc:
             # Request-induced domain errors (e.g. an arrival time behind
             # the shard's virtual clock) are the client's fault, not ours.
-            self._send_error(_APIError(400, "invalid_request", str(exc)))
+            error = _APIError(400, "invalid_request", str(exc))
         except QuotaExceededError as exc:
-            self._send_error(_APIError(429, "quota_exhausted", str(exc)))
+            error = _APIError(429, "quota_exhausted", str(exc))
         except Exception as exc:  # noqa: BLE001 — a fault must not kill the server
-            self._send_error(
-                _APIError(500, "internal", f"{type(exc).__name__}: {exc}")
-            )
+            error = _APIError(500, "internal", f"{type(exc).__name__}: {exc}")
         else:
-            self._send_json(status, payload)
+            self._send(status, payload)
+            return
+        self._send(error.status, error.body(self.path))
 
     # ------------------------------------------------------------------
     # Routes
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — http.server API
-        if self.path == "/v1/metrics":
-            # Text exposition, not the JSON envelope; errors still use it.
-            self._dispatch_metrics()
-            return
-        routes = {
+        routes: dict[str, Callable[[], tuple[int, Payload]]] = {
             "/v1/health": self._get_health,
             "/v1/tenants": self._get_tenants,
             "/v1/stats": self._get_stats,
+            "/v1/metrics": self._get_metrics,
         }
-        handler = routes.get(self.path)
-        if handler is None:
-            self._send_error(_APIError(404, "not_found", f"no route {self.path}"))
-            return
-        self._dispatch(handler)
+        self._dispatch(routes.get(self.path))
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
-        routes = {
+        routes: dict[str, Callable[[], tuple[int, Payload]]] = {
             "/v1/jobs": self._post_jobs,
             "/v1/quotes": self._post_quotes,
         }
-        handler = routes.get(self.path)
-        if handler is None:
-            self._send_error(_APIError(404, "not_found", f"no route {self.path}"))
-            return
-        self._dispatch(handler)
+        self._dispatch(routes.get(self.path))
 
     # ------------------------------------------------------------------
-    def _dispatch_metrics(self) -> None:
-        """Serve ``GET /v1/metrics`` as Prometheus text exposition.
-
-        Lost shards cost their own series only — the sweep behind
-        :meth:`FleetManager.metrics_registry` marks them, it does not
-        raise — so a degraded fleet still scrapes cleanly.
-        """
-        try:
-            manager = self._manager()
-            text = render_exposition(manager.metrics_registry())
-        except _APIError as exc:
-            self._send_error(exc)
-        except Exception as exc:  # noqa: BLE001 — a fault must not kill the server
-            self._send_error(
-                _APIError(500, "internal", f"{type(exc).__name__}: {exc}")
-            )
-        else:
-            self._send_text(200, text, METRICS_CONTENT_TYPE)
+    def _get_metrics(self) -> tuple[int, str]:
+        """Prometheus text of the live fleet registry. Lost shards cost
+        their own series only (the sweep marks them, it does not raise),
+        so a degraded fleet still scrapes cleanly."""
+        return 200, render_exposition(self._manager().metrics_registry())
 
     def _get_health(self) -> tuple[int, dict]:
         manager = self._manager()
@@ -323,11 +307,7 @@ class _Handler(BaseHTTPRequestHandler):
         manager = self._manager()
         tenant_id = body["tenant"]
         shard_index = manager.shard_index_for(tenant_id)  # raises UnknownTenantError
-        account = manager.account(tenant_id)
-        if account.quota_remaining == 0:
-            # Refuse before synthesis so a pure-429 path leaves the
-            # shard's job substream untouched.
-            raise QuotaExceededError(tenant_id, account.quota_jobs or 0)
+        # One shard command; an exhausted tenant raises QuotaExceededError.
         arrival_time, outcomes = manager.submit_count(
             tenant_id, body["n_jobs"], body.get("arrival_time_s")
         )
@@ -395,6 +375,13 @@ class FleetAPIServer(HTTPServer):
         """Hand the bound socket its fleet (see class docstring)."""
         self.manager = manager
 
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A client that hangs up before its reply costs its connection,
+        # not a traceback on stderr.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
     @property
     def url(self) -> str:
         host, port = self.server_address[:2]
@@ -407,7 +394,6 @@ def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 8080,
     verbose: bool = True,
-    executor: Optional[str] = None,
 ) -> None:
     """Stand up a fleet and serve it until interrupted (CLI entry).
 
@@ -422,7 +408,7 @@ def serve_fleet(
     registry = registry if registry is not None else default_registry()
     server = FleetAPIServer(None, host=host, port=port, verbose=verbose)
     print(f"fleet API listening on {server.url}", flush=True)
-    manager = FleetManager(config, registry, executor=executor)
+    manager = FleetManager(config, registry)
     server.attach(manager)
     print(
         f"fleet ready: {manager.n_shards} shards via "

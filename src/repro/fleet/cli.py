@@ -54,7 +54,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry=_registry(args),
         host=args.host,
         port=args.port,
-        executor=args.executor,
     )
     return 0
 

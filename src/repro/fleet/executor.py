@@ -5,19 +5,18 @@ BrokerShard` partitions but drove them sequentially in one process. This
 module separates the *what* (shard operations) from the *where* (which
 process runs them) behind one small command protocol:
 
-========== ==========================================================
-op          behaviour
-========== ==========================================================
-``submit``  quote/admit/dispatch one tenant group (bodies or a count
-            synthesised from the shard's seeded API substream)
-``quote``   price one job, no admission
-``account`` one tenant's books (a point-in-time copy off-process)
-``accounts`` every account on the shard
-``stats``   live counters snapshot (:class:`ShardStatsSnapshot`)
-``load``    drive one open-loop arrival stream to completion
-``drain``   finish the shard and return its :class:`ShardResult`
-``ping``    liveness round trip
-========== ==========================================================
+============ ========================================================
+op           behaviour
+============ ========================================================
+``submit``   synthesise ``n_jobs`` for a tenant from the seeded API
+             substream and quote/admit/dispatch them; an exhausted
+             tenant raises ``QuotaExceededError`` before synthesis
+``quote``    price one synthesised job for a tenant, no admission
+``accounts`` every tenant's books (a point-in-time copy off-process)
+``stats``    live counters snapshot (:class:`ShardStatsSnapshot`)
+``load``     drive one open-loop arrival stream to completion
+``drain``    finish the shard and return its :class:`ShardResult`
+============ ========================================================
 
 Two executors implement it:
 
@@ -133,19 +132,11 @@ def _apply(shard: BrokerShard, op: str, args: tuple[Any, ...]) -> Any:
     an op cannot mean different things on different executors.
     """
     if op == "submit":
-        tenant_id, jobs, n_jobs, arrival_time = args
-        if jobs is None:
-            arrival_time, jobs = shard.synthesize_jobs(n_jobs, arrival_time)
-        return arrival_time, shard.submit(tenant_id, jobs, arrival_time=arrival_time)
+        return shard.submit_count(*args)
     if op == "quote":
-        tenant_id, job = args
-        if job is None:
-            _, synthesized = shard.synthesize_jobs(1)
-            job = synthesized[0]
-        return shard.quote(tenant_id, job)
-    if op == "account":
         (tenant_id,) = args
-        return shard.account(tenant_id)
+        _, [job] = shard.synthesize_jobs(1)
+        return shard.quote(tenant_id, job)
     if op == "accounts":
         return dict(shard.accounts)
     if op == "stats":
@@ -162,8 +153,6 @@ def _apply(shard: BrokerShard, op: str, args: tuple[Any, ...]) -> Any:
         return drive_shard_load(shard, stream, rotation_seed)
     if op == "drain":
         return shard.finish()
-    if op == "ping":
-        return "pong"
     raise ValueError(f"unknown shard op {op!r}")
 
 

@@ -211,7 +211,6 @@ def run_fleet_load(
     fleet_config: FleetConfig,
     load: LoadGenConfig,
     registry: Optional[TenantRegistry] = None,
-    executor: Optional[str] = None,
 ) -> FleetLoadResult:
     """Drive one open-loop load run through a fresh fleet.
 
@@ -221,8 +220,6 @@ def run_fleet_load(
     merged trace covers the whole fleet. Submission timing excludes job
     synthesis and tenant draws — only the quote/admit/dispatch round
     trip is on the clock, same convention as the single-broker driver.
-    ``executor`` overrides the fleet config's choice (the CLI's
-    ``--executor`` flag lands here).
     """
     # Every refusal happens before FleetManager exists: under the
     # multiprocess executor a later one would leak the workers.
@@ -237,7 +234,7 @@ def run_fleet_load(
         index: [t.tenant_id for t in registry.tenants_for_shard(index, n_shards)]
         for index in range(n_shards)
     })
-    manager = FleetManager(fleet_config, registry, executor=executor)
+    manager = FleetManager(fleet_config, registry)
 
     t0 = time.perf_counter()  # repro: allow[DET001] submit-phase meter
     driven = manager.executor.run_load(

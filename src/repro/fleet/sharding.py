@@ -131,6 +131,11 @@ class QuotaExceededError(RuntimeError):
             f"tenant {tenant_id!r} exhausted its quota of {quota_jobs} admitted jobs"
         )
 
+    def __reduce__(self) -> tuple[type, tuple[str, int]]:
+        # Rebuild from the fields, so a worker's refusal crosses the
+        # process boundary as itself (and the front still answers 429).
+        return type(self), (self.tenant_id, self.quota_jobs)
+
 
 @dataclass
 class TenantAccount:
@@ -270,9 +275,6 @@ class BrokerShard(RunPlugin):
             return None
         return self.policy.snapshot()
 
-    def account(self, tenant_id: str) -> TenantAccount:
-        return self.accounts[tenant_id]
-
     # ------------------------------------------------------------------
     # Job synthesis (HTTP front)
     # ------------------------------------------------------------------
@@ -309,6 +311,22 @@ class BrokerShard(RunPlugin):
         state = self.env.build_state()
         return quote_job(job, state, self.env.estimator, account.policy.ticket)
 
+    def submit_count(
+        self,
+        tenant_id: str,
+        n_jobs: int,
+        arrival_time: Optional[float] = None,
+    ) -> tuple[float, list[SubmissionOutcome]]:
+        """Synthesise ``n_jobs`` and :meth:`submit` them (the HTTP path).
+
+        An exhausted tenant raises :class:`QuotaExceededError` *before*
+        synthesis, so a 429 leaves the API substream untouched."""
+        account = self.accounts[tenant_id]
+        if account.quota_remaining == 0:
+            raise QuotaExceededError(tenant_id, account.quota_jobs or 0)
+        arrival_time, jobs = self.synthesize_jobs(n_jobs, arrival_time)
+        return arrival_time, self.submit(tenant_id, jobs, arrival_time=arrival_time)
+
     def submit(
         self,
         tenant_id: str,
@@ -323,9 +341,9 @@ class BrokerShard(RunPlugin):
         the simulated system. The refusal is conservative at group
         granularity — allowance counts jobs the policy might still
         reject — which keeps the check a pure function of the account
-        state at arrival. Exhausted quota refuses, never raises: the
-        HTTP front's 429 comes from its own pre-check, while batch
-        drivers keep streaming and the refusals surface in the report.
+        state at arrival. Exhausted quota refuses, never raises: batch
+        drivers keep streaming and the refusals surface in the report,
+        while :meth:`submit_count` raises for the HTTP front's 429.
         """
         account = self.accounts[tenant_id]
         jobs = list(jobs)
@@ -444,15 +462,12 @@ class FleetManager:
         self,
         config: Optional[FleetConfig] = None,
         registry: Optional[TenantRegistry] = None,
-        executor: Optional[str] = None,
     ) -> None:
         from .executor import make_executor
 
         self.config = config if config is not None else FleetConfig()
         self.registry = registry if registry is not None else default_registry()
-        self.executor_name = (
-            executor if executor is not None else self.config.executor
-        )
+        self.executor_name = self.config.executor
         self.executor: "ShardExecutor" = make_executor(
             self.executor_name, self.config, self.registry
         )
@@ -487,7 +502,7 @@ class FleetManager:
         """One tenant's books — live in-process, a point-in-time copy
         when the shard runs in a worker process."""
         index = self.shard_index_for(tenant_id)
-        account = self.executor.call(index, "account", tenant_id)
+        account = self.executor.call(index, "accounts")[tenant_id]
         assert isinstance(account, TenantAccount)
         return account
 
@@ -545,40 +560,26 @@ class FleetManager:
         return merged
 
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        tenant_id: str,
-        jobs: Sequence[Job],
-        arrival_time: Optional[float] = None,
-    ) -> list[SubmissionOutcome]:
-        if self._finished:
-            raise RuntimeError("fleet already finished")
-        index = self.shard_index_for(tenant_id)
-        _, outcomes = self.executor.call(
-            index, "submit", tenant_id, list(jobs), None, arrival_time
-        )
-        return list(outcomes)
-
     def submit_count(
         self,
         tenant_id: str,
         n_jobs: int,
         arrival_time_s: Optional[float] = None,
     ) -> tuple[float, list[SubmissionOutcome]]:
-        """Submit ``n_jobs`` synthesised from the home shard's seeded
-        API substream (the HTTP front's submission path)."""
+        """Submit ``n_jobs`` synthesised on the home shard in one
+        ``submit`` command (see :meth:`BrokerShard.submit_count`)."""
         if self._finished:
             raise RuntimeError("fleet already finished")
         index = self.shard_index_for(tenant_id)
         arrival_time, outcomes = self.executor.call(
-            index, "submit", tenant_id, None, n_jobs, arrival_time_s
+            index, "submit", tenant_id, n_jobs, arrival_time_s
         )
         return float(arrival_time), list(outcomes)
 
-    def quote(self, tenant_id: str, job: Optional[Job] = None) -> SLAQuote:
-        """Price one job (synthesised on the shard when not supplied)."""
+    def quote(self, tenant_id: str) -> SLAQuote:
+        """Price one job synthesised on the tenant's home shard."""
         index = self.shard_index_for(tenant_id)
-        quote = self.executor.call(index, "quote", tenant_id, job)
+        quote = self.executor.call(index, "quote", tenant_id)
         assert isinstance(quote, SLAQuote)
         return quote
 

@@ -119,7 +119,7 @@ import json
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
@@ -256,8 +256,6 @@ def _offline_scenario(n_batches: int, reps: int) -> dict[str, Any]:
     The workload is built once and shared across schedulers and reps so
     the clock sees scheduling + simulation, not workload synthesis.
     """
-    from dataclasses import replace
-
     from ..experiments.config import DEFAULT_SPEC
     from ..experiments.runner import PAPER_SCHEDULERS, build_workload, run_one
     from ..workload.distributions import Bucket
@@ -508,10 +506,9 @@ def _fleet_runs(
             for executor in executors:
                 runs[executor].append(
                     run_fleet_load(
-                        fleet,
+                        replace(fleet, executor=executor),
                         load,
                         registry=default_registry(3 * n_shards),
-                        executor=executor,
                     )
                 )
     every = [r for results in runs.values() for r in results]

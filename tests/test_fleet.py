@@ -28,7 +28,7 @@ from repro.fleet import (
     run_fleet_load,
     shard_streams,
 )
-from repro.fleet.sharding import QUOTA_REASON
+from repro.fleet.sharding import QUOTA_REASON, QuotaExceededError
 from repro.metrics.tickets import ProportionalTicket
 from repro.service import LoadGenConfig
 from repro.service.policy import SLAPolicy
@@ -196,9 +196,7 @@ class TestQuota:
 
     def test_overflow_is_refused_with_distinct_reason(self):
         manager = self.make_fleet(quota_jobs=3)
-        shard = manager.shard_for("capped")
-        _, jobs = shard.synthesize_jobs(5)
-        outcomes = manager.submit("capped", jobs)
+        _, outcomes = manager.submit_count("capped", 5)
         assert len(outcomes) == 5
         refused = [o for o in outcomes if o.result.reason == QUOTA_REASON]
         assert len(refused) == 2
@@ -208,33 +206,59 @@ class TestQuota:
         assert all(o.quote is not None for o in refused)
 
     def test_exhausted_quota_refuses_everything_without_raising(self):
+        # The batch drivers' path: BrokerShard.submit refuses, never raises.
         manager = self.make_fleet(quota_jobs=2)
-        shard = manager.shard_for("capped")
-        _, first = shard.synthesize_jobs(2)
-        manager.submit("capped", first)
+        manager.submit_count("capped", 2)
         account = manager.account("capped")
         assert account.quota_remaining == 0
-        _, second = shard.synthesize_jobs(3)
-        outcomes = manager.submit("capped", second)
+        shard = manager.shard_for("capped")
+        _, jobs = shard.synthesize_jobs(3)
+        outcomes = shard.submit("capped", jobs)
         assert [o.result.reason for o in outcomes] == [QUOTA_REASON] * 3
+
+    def test_submit_count_on_exhausted_tenant_raises(self):
+        # The HTTP front's path: one submit command that raises for 429.
+        manager = self.make_fleet(quota_jobs=2)
+        manager.submit_count("capped", 2)
+        assert manager.account("capped").quota_remaining == 0
+        with pytest.raises(QuotaExceededError) as info:
+            manager.submit_count("capped", 3)
+        assert (info.value.tenant_id, info.value.quota_jobs) == ("capped", 2)
+        assert manager.shard_for("capped").stats.submitted == 2
+
+    def test_refusal_leaves_the_api_substream_untouched(self):
+        # A 429 is decided before synthesis: the next tenant on the same
+        # shard draws the jobs it would have drawn without that request.
+        def roomy_jobs(refuse_first: bool) -> list:
+            registry = TenantRegistry([
+                TenantSpec(tenant_id="capped", quota_jobs=2),
+                TenantSpec(tenant_id="roomy"),
+            ])
+            manager = FleetManager(fast_config(n_shards=1), registry)
+            manager.submit_count("capped", 2)
+            if refuse_first:
+                with pytest.raises(QuotaExceededError):
+                    manager.submit_count("capped", 3)
+            _, outcomes = manager.submit_count("roomy", 4)
+            return [o.job for o in outcomes]
+
+        refused, control = roomy_jobs(True), roomy_jobs(False)
+        assert [j.job_id for j in refused] == [j.job_id for j in control]
+        assert refused == control
 
     def test_quota_counts_admissions_not_submissions(self):
         manager = self.make_fleet(quota_jobs=3)
         account = manager.account("capped")
         assert account.quota_remaining == 3
-        shard = manager.shard_for("capped")
-        _, jobs = shard.synthesize_jobs(2)
-        outcomes = manager.submit("capped", jobs)
+        _, outcomes = manager.submit_count("capped", 2)
         admitted = sum(1 for o in outcomes if o.admitted)
         assert account.admitted_jobs == admitted
         assert account.quota_remaining == 3 - admitted
 
     def test_quota_refusals_keep_counters_consistent(self):
         manager = self.make_fleet(quota_jobs=1)
-        shard = manager.shard_for("capped")
-        _, jobs = shard.synthesize_jobs(4)
-        manager.submit("capped", jobs)
-        stats = shard.stats
+        manager.submit_count("capped", 4)
+        stats = manager.shard_for("capped").stats
         assert stats.submitted == 4
         assert (
             stats.accepted + stats.accepted_degraded + stats.rejected
@@ -359,10 +383,8 @@ class TestFleetManagerLifecycle:
         manager.finish()
         with pytest.raises(RuntimeError):
             manager.finish()
-        shard = manager.shard_for(manager.registry.tenant_ids[0])
-        _, jobs = shard.synthesize_jobs(1)
         with pytest.raises(RuntimeError):
-            manager.submit(manager.registry.tenant_ids[0], jobs)
+            manager.submit_count(manager.registry.tenant_ids[0], 1)
 
     def test_shard_seeds_are_distinct_substreams(self):
         config = fast_config(n_shards=4)

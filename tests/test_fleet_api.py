@@ -230,6 +230,35 @@ class TestErrorContract:
         assert status == 200
         assert body["status"] == "ok"
 
+    def test_torn_body_is_a_400_and_does_not_wedge_the_front(
+        self, server, monkeypatch
+    ):
+        from repro.fleet import api
+
+        monkeypatch.setattr(api._Handler, "timeout", 0.5)
+        with socket.create_connection(server.server_address[:2], timeout=10) as torn:
+            # Content-Length promises 100 bytes; 9 arrive, the socket stays open.
+            torn.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n"
+                b"\r\n" + b'{"tenant"'
+            )
+            status, _ = request(server, "/v1/health")
+            assert status == 200
+            with torn.makefile("rb") as reply:
+                head, _, payload = reply.read().partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        error = json.loads(payload)["error"]
+        assert error["code"] == "invalid_request"
+        assert error["message"] == "body shorter than Content-Length"
+
+    def test_client_hangup_is_not_a_traceback(self, server, capsys):
+        try:
+            raise BrokenPipeError("client went away")
+        except BrokenPipeError:
+            server.handle_error(None, ("127.0.0.1", 0))
+        assert capsys.readouterr().err == ""
+
     def test_internal_fault_returns_500_and_keeps_serving(self, server):
         # Sabotage one handler path: an unregistered exception type must
         # surface as a 500, not kill the server loop.

@@ -19,6 +19,7 @@ The contracts under test, from ISSUE 8:
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -28,17 +29,21 @@ from dataclasses import replace
 import pytest
 
 from repro.fleet import (
+    EXECUTOR_NAMES,
+    FleetAPIError,
     FleetAPIServer,
     FleetClient,
     FleetConfig,
     FleetManager,
+    QuotaExceededError,
     ShardLostError,
     TenantRegistry,
     TenantSpec,
 )
 from repro.fleet.client import parse_error
-from repro.fleet.executor import MultiprocessExecutor
+from repro.fleet.executor import MultiprocessExecutor, _picklable
 from repro.service.loadgen import LoadGenConfig
+from tests.test_fleet_api import serving
 
 
 def small_registry() -> TenantRegistry:
@@ -83,7 +88,7 @@ class TestExecutorParity:
         outcomes = {}
         for executor in ("inprocess", "multiprocess"):
             manager = FleetManager(
-                small_config(), small_registry(), executor=executor
+                small_config(executor=executor), small_registry()
             )
             tenant_id = tenants_by_shard(manager)[0]
             arrival, submitted = manager.submit_count(tenant_id, 3)
@@ -101,11 +106,11 @@ class TestExecutorParity:
 
     def test_unknown_executor_name_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            FleetManager(small_config(), small_registry(), executor="threads")
+            FleetManager(small_config(executor="threads"), small_registry())
 
     def test_direct_shard_access_requires_inprocess(self):
         manager = FleetManager(
-            small_config(), small_registry(), executor="multiprocess"
+            small_config(executor="multiprocess"), small_registry()
         )
         try:
             with pytest.raises(RuntimeError, match="in-process"):
@@ -127,7 +132,7 @@ class TestWorkerLoss:
 
     def one_lossy_run(self) -> "object":
         manager = FleetManager(
-            small_config(), small_registry(), executor="multiprocess"
+            small_config(executor="multiprocess"), small_registry()
         )
         victims = tenants_by_shard(manager)
         # Both shards do real work first, then shard 0's worker dies.
@@ -160,7 +165,7 @@ class TestWorkerLoss:
     def test_lost_shard_digest_differs_from_intact_run(self):
         lossy = self.one_lossy_run()
         manager = FleetManager(
-            small_config(), small_registry(), executor="multiprocess"
+            small_config(executor="multiprocess"), small_registry()
         )
         victims = tenants_by_shard(manager)
         manager.submit_count(victims[0], 2)
@@ -171,7 +176,7 @@ class TestWorkerLoss:
 
     def test_every_shard_lost_is_an_error(self):
         manager = FleetManager(
-            small_config(), small_registry(), executor="multiprocess"
+            small_config(executor="multiprocess"), small_registry()
         )
         victims = tenants_by_shard(manager)
         self.kill_worker(manager, 0)
@@ -184,7 +189,7 @@ class TestWorkerLoss:
 
     def test_health_reports_the_dead_worker(self):
         manager = FleetManager(
-            small_config(), small_registry(), executor="multiprocess"
+            small_config(executor="multiprocess"), small_registry()
         )
         try:
             assert all(h.alive for h in manager.health())
@@ -223,7 +228,7 @@ class TestGracefulDrain:
     def test_sigterm_worker_drains_and_folds_in(self):
         def one_run(send_term: bool) -> "object":
             manager = FleetManager(
-                small_config(), small_registry(), executor="multiprocess"
+                small_config(executor="multiprocess"), small_registry()
             )
             victims = tenants_by_shard(manager)
             manager.submit_count(victims[0], 2)
@@ -301,6 +306,62 @@ class TestFleetClient:
     def test_https_refused(self):
         with pytest.raises(ValueError, match="plain http"):
             FleetClient("https://example.com")
+
+
+# ----------------------------------------------------------------------
+# One shard command per request
+# ----------------------------------------------------------------------
+def capped_registry() -> TenantRegistry:
+    return TenantRegistry(
+        [*small_registry(), TenantSpec(tenant_id="capped", quota_jobs=2)]
+    )
+
+
+class TestOneCommandPerRequest:
+    def test_each_post_is_one_submit_command(self):
+        manager = FleetManager(
+            small_config(executor="multiprocess"), capped_registry()
+        )
+        posts = [("acme-001", 3), ("capped", 5), ("acme-002", 2),
+                 ("capped", 1), ("acme-004", 1)]
+        refused = []
+        try:
+            with serving(manager) as server, FleetClient(server.url) as client:
+                for tenant_id, n_jobs in posts:
+                    try:
+                        client.submit(tenant_id, n_jobs)
+                    except FleetAPIError as exc:
+                        refused.append((tenant_id, exc.status))
+                scrape = client.metrics()
+        finally:
+            manager.finish()
+        assert refused == [("capped", 429)]
+        commands = scrape.family("fleet_worker_commands_total")
+        assert commands.value(op="submit") == len(posts)
+        assert "account" not in {s.label("op") for s in commands.samples}
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_exhausted_quota_is_a_429_under_both_executors(self, executor):
+        manager = FleetManager(small_config(executor=executor), capped_registry())
+        try:
+            with serving(manager) as server, FleetClient(server.url) as client:
+                client.submit("capped", 5)
+                with pytest.raises(FleetAPIError) as info:
+                    client.submit("capped", 1)
+        finally:
+            manager.finish()
+        assert info.value.status == 429
+        assert info.value.code == "quota_exhausted"
+        assert "'capped'" in str(info.value)
+
+    def test_quota_error_pickles_with_its_fields(self):
+        error = QuotaExceededError("capped", 2)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is QuotaExceededError
+        assert (copy.tenant_id, copy.quota_jobs) == ("capped", 2)
+        assert str(copy) == str(error)
+        # So a worker ships it home as itself, not a RuntimeError summary.
+        assert _picklable(error) is error
 
 
 # ----------------------------------------------------------------------
