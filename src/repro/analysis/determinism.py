@@ -10,13 +10,14 @@ promise into checkable contracts over named digests:
   two traces disagree instead of just "hashes differ".
 * :class:`Cell` — what one run attaches: a scheduler, spot churn with
   billing (econ), a scaling policy, telemetry (obs), and — for a sharded
-  fleet — the executor that drives the shards. :func:`run_cell` makes
+  fleet — the executor that drives the shards and whether the schedule
+  arrives directly or over HTTP. :func:`run_cell` makes
   the run and returns its digests (``trace``, ``ledger``, ``audit``,
   ``fleet``, ``registry``) plus the counts a report prints.
 * Two contract kinds over cells. :class:`Double` runs one cell twice and
   requires every named digest to match. :class:`Same` requires two cells
   to agree on the named digests: an observer or an idle policy must not
-  move anything, and neither may the executor.
+  move anything, and neither may the executor or the HTTP front.
 
 ``repro check`` is a loop over :data:`CHECKS`, one row per contract.
 :func:`run_checks` caches each cell's first run, so a run two contracts
@@ -217,6 +218,8 @@ class Cell:
     ``"multiprocess"``) for a multi-tenant fleet of ``shards`` brokers
     taking ``jobs`` arrivals at 50 jobs/s. ``starved`` adds a tenant
     with a five-job quota, so the quota refusal path is hashed too.
+    ``http`` sends the fleet's schedule over HTTP to an in-thread
+    :class:`~repro.fleet.FleetAPIServer`, as ``fleet serve`` ships it.
     """
 
     scheduler: str = "Op"
@@ -230,10 +233,13 @@ class Cell:
     shards: int = 4
     jobs: int = 200
     starved: bool = False
+    http: bool = False
 
     def __post_init__(self) -> None:
         if self.econ and self.executor is not None:
             raise ValueError("spot churn is a single-environment axis")
+        if self.http and self.executor is None:
+            raise ValueError("only a fleet is served over HTTP")
 
     @property
     def axes(self) -> frozenset[str]:
@@ -257,7 +263,8 @@ class Cell:
         if self.executor is None:
             return name
         starved = ",starved" if self.starved else ""
-        return f"fleet[{self.shards}x{self.jobs}{starved}] {name} {self.executor}"
+        http = " http" if self.http else ""
+        return f"fleet[{self.shards}x{self.jobs}{starved}] {name} {self.executor}{http}"
 
 
 @dataclass(frozen=True)
@@ -325,34 +332,35 @@ def run_cell(
 
 def _run_fleet(cell: Cell, seed: int) -> CellRun:
     # Local import: repro.fleet builds on this module's hash_trace.
-    from ..fleet import (
-        BRONZE,
-        FleetConfig,
-        TenantSpec,
-        default_registry,
-        run_fleet_load,
-    )
+    from ..fleet import BRONZE, FleetConfig, FleetManager, TenantSpec, default_registry
+    from ..fleet import run_fleet_load, serve_in_thread
+    from ..fleet.loadgen import run_client_load
     from ..service import LoadGenConfig
 
-    registry = default_registry(11) if cell.starved else None
-    if registry is not None:
+    registry = default_registry(11 if cell.starved else 12)
+    if cell.starved:
         registry.register(
             TenantSpec(tenant_id="starved-012", sla_class=BRONZE, quota_jobs=5)
         )
-    report = run_fleet_load(
-        FleetConfig(
-            n_shards=cell.shards,
-            seed=seed,
-            scheduler=cell.scheduler,
-            executor=cell.executor,
-            telemetry=cell.obs,
-            scaling=None if cell.policy is None else POLICIES[cell.policy],
-        ),
-        LoadGenConfig(
-            n_jobs=cell.jobs, rate_per_s=50.0, process="bursty", seed=seed
-        ),
-        registry=registry,
-    ).report
+    config = FleetConfig(
+        n_shards=cell.shards,
+        seed=seed,
+        scheduler=cell.scheduler,
+        executor=cell.executor,
+        telemetry=cell.obs,
+        scaling=None if cell.policy is None else POLICIES[cell.policy],
+    )
+    load = LoadGenConfig(n_jobs=cell.jobs, rate_per_s=50.0, process="bursty", seed=seed)
+    if cell.http:
+        manager = FleetManager(config, registry)
+        try:
+            with serve_in_thread(manager) as server:
+                refused = run_client_load(server.url, load).quota_refusals
+        finally:
+            report = manager.finish()  # also stops any workers
+    else:
+        result = run_fleet_load(config, load, registry=registry)
+        report, refused = result.report, result.quota_refusals
     digests = {"fleet": report.sha256}
     if report.policy is not None:
         # One digest over every shard's audit log, in shard order.
@@ -362,6 +370,7 @@ def _run_fleet(cell: Cell, seed: int) -> CellRun:
         digests["registry"] = report.obs.snapshot_sha256()
     counts = {
         "records": len(report.trace.records),
+        "refused groups": refused,
         "quota refusals": report.quota_rejected,
     }
     return CellRun(report.trace, digests, counts)
@@ -472,6 +481,7 @@ def check_table(
     """
     fleet = Cell(executor="inprocess", shards=shards, jobs=jobs)
     shipped = replace(fleet, obs=True, policy="hold")
+    shipped_mp = replace(shipped, executor="multiprocess")
     rows: list[Check] = [
         *(Double(Cell(s), ("trace",)) for s in schedulers or PAPER_SCHEDULERS),
         *(
@@ -488,9 +498,11 @@ def check_table(
             for s in schedulers or ECON_SCHEDULERS
         ),
         Same(Cell(), Cell(policy="idle"), ("trace",)),
-        # What `fleet serve` ships. The registry is left out: worker-plane
-        # CPU histograms are wall-measured, so it differs by executor.
-        Same(shipped, replace(shipped, executor="multiprocess"), ("fleet", "audit")),
+        # What `fleet serve` ships, direct vs HTTP and across executors.
+        # Worker-plane CPU histograms are wall-measured: no mp registry.
+        Same(shipped, replace(shipped, http=True), ("fleet", "audit", "registry")),
+        Same(shipped_mp, replace(shipped_mp, http=True), ("fleet", "audit")),
+        Same(shipped, shipped_mp, ("fleet", "audit")),
     ]
     return tuple(rows)
 

@@ -251,9 +251,3 @@ class Scheduler(abc.ABC):
     def wants_size_interval_queues(self) -> bool:
         """Whether the environment should run split upload queues."""
         return False
-
-    def upload_queue_bounds(
-        self, jobs: list[Job], state: SystemState
-    ) -> Optional[tuple[float, float]]:
-        """(s_bound, m_bound) for Algorithm 3 schedulers, else ``None``."""
-        return None

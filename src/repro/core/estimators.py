@@ -32,10 +32,6 @@ class EcEstimate:
     exec_end: float
     completion: float
 
-    @property
-    def round_trip(self) -> float:
-        return self.completion
-
 
 class FinishTimeEstimator:
     """Computes finish-time estimates for placement decisions."""

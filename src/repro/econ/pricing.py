@@ -136,14 +136,6 @@ class SpotPriceProcess:
         """Register an epoch listener, called with each new USD/hour price."""
         self._listeners.append(listener)
 
-    @property
-    def current_usd_per_hour(self) -> float:
-        return self._prices[-1]
-
-    @property
-    def n_epochs(self) -> int:
-        return len(self._prices)
-
     def price_at(self, time_s: float) -> float:
         """USD/hour price in force at ``time_s`` (last epoch at or before)."""
         idx = bisect_right(self._times, time_s) - 1

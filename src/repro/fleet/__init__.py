@@ -39,7 +39,7 @@ model and determinism contract in prose.
 """
 
 from .aggregate import FleetReport, TenantReport, aggregate_shards, fleet_sha256
-from .api import FleetAPIServer, serve_fleet
+from .api import FleetAPIServer, serve_fleet, serve_in_thread
 from .client import (
     FleetAPIError,
     FleetClient,
@@ -100,7 +100,7 @@ __all__ = [
     "MultiprocessExecutor", "make_executor", "ShardLostError",
     "ShardStatsSnapshot", "WorkerHealth",
     "FleetReport", "TenantReport", "aggregate_shards", "fleet_sha256",
-    "FleetAPIServer", "serve_fleet",
+    "FleetAPIServer", "serve_fleet", "serve_in_thread",
     "FleetClient", "FleetAPIError", "HealthInfo", "JobOutcome",
     "MetricsResult", "QuoteResult", "StatsResult", "SubmitResult",
     "TenantInfo",

@@ -50,8 +50,10 @@ import json
 import math
 import signal
 import sys
+import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, HTTPServer
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from ..obs.exposition import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from ..obs.exposition import render_exposition
@@ -64,6 +66,7 @@ __all__ = [
     "SUBMIT_SCHEMA",
     "QUOTE_SCHEMA",
     "FleetAPIServer",
+    "serve_in_thread",
     "serve_fleet",
 ]
 
@@ -386,6 +389,19 @@ class FleetAPIServer(HTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+
+@contextmanager
+def serve_in_thread(manager: FleetManager) -> Iterator[FleetAPIServer]:
+    """Serve ``manager`` on a free local port from a daemon thread until
+    the block exits; finishing the fleet is left to the caller."""
+    server = FleetAPIServer(manager)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server
+    finally:
+        server.shutdown()  # returns once serve_forever has
+        server.server_close()
 
 
 def serve_fleet(

@@ -10,7 +10,9 @@ one worker process each and they run concurrently. The shards share
 nothing, so the executor cannot change any result — only the wall
 clock — and the ``repro check`` executor-parity pass holds both to one
 ``fleet_sha256``. The HTTP driver (:func:`run_client_load`) replays the
-same per-shard streams against a served fleet.
+same per-shard schedules (:func:`shard_schedule`) against a served
+fleet. Both submit job *counts* through :meth:`BrokerShard.submit_count`,
+so the shard synthesises bodies one way and both drain to one digest.
 
 Throughput is reported two ways, and the distinction matters on a
 one-core container:
@@ -35,6 +37,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..common import split_evenly, substream_seed
@@ -43,17 +46,16 @@ from ..service.loadgen import (
     SubmissionTiming,
     arrival_schedule,
     drive_arrivals,
-    generate_arrivals,
 )
-from ..workload.generator import WorkloadGenerator
 from .aggregate import FleetReport
-from .sharding import BrokerShard, FleetConfig, FleetManager
+from .sharding import BrokerShard, FleetConfig, FleetManager, QuotaExceededError
 from .tenants import TenantRegistry, default_registry
 
 __all__ = [
     "FleetLoadResult",
     "ClientLoadResult",
     "shard_streams",
+    "shard_schedule",
     "drive_shard_load",
     "run_fleet_load",
     "run_client_load",
@@ -80,6 +82,11 @@ class FleetLoadResult:
         return sum(t.n_submitted for t in self.shard_timings)
 
     @property
+    def quota_refusals(self) -> int:
+        """Groups refused whole because their tenant's quota was spent."""
+        return sum(t.n_refused for t in self.shard_timings)
+
+    @property
     def lost_shards(self) -> dict[int, str]:
         return dict(self.report.lost_shards)
 
@@ -92,11 +99,6 @@ class FleetLoadResult:
         return sum(t.submit_wall_s for t in self.shard_timings)
 
     @property
-    def max_shard_cpu_s(self) -> float:
-        """Slowest shard by CPU clock — per-worker cost on its own core."""
-        return max((t.submit_cpu_s for t in self.shard_timings), default=0.0)
-
-    @property
     def aggregate_jobs_per_s(self) -> float:
         """Scale-out capacity: total jobs over the slowest shard's wall."""
         if self.max_shard_wall_s <= 0:
@@ -104,28 +106,11 @@ class FleetLoadResult:
         return self.n_submitted / self.max_shard_wall_s
 
     @property
-    def aggregate_cpu_jobs_per_s(self) -> float:
-        """Scale-out capacity on the CPU clock: total jobs over the
-        slowest shard's submit *CPU* time. Identical to
-        :attr:`aggregate_jobs_per_s` when each worker has its own core;
-        still the one-core-per-shard figure when workers timeshare."""
-        if self.max_shard_cpu_s <= 0:
-            return 0.0
-        return self.n_submitted / self.max_shard_cpu_s
-
-    @property
     def serial_jobs_per_s(self) -> float:
         """Single-process figure: total jobs over summed shard walls."""
         if self.total_shard_wall_s <= 0:
             return 0.0
         return self.n_submitted / self.total_shard_wall_s
-
-    @property
-    def wall_jobs_per_s(self) -> float:
-        """Total jobs over the parent's submission-phase wall clock."""
-        if self.submit_phase_wall_s <= 0:
-            return 0.0
-        return self.n_submitted / self.submit_phase_wall_s
 
     def render(self) -> str:
         c = self.config
@@ -139,19 +124,10 @@ class FleetLoadResult:
             f"({self.total_shard_wall_s:.2f}s submitting, "
             f"{self.drain_wall_s:.2f}s draining)",
         ]
+        if self.quota_refusals:
+            lines.append(f"refused groups: {self.quota_refusals} (quota spent)")
         lines.append(self.report.render())
         return "\n".join(lines)
-
-
-def _tenant_rotation(
-    tenant_ids: list[str], shard_index: int, root_seed: int
-) -> Iterator[str]:
-    """Endless deterministic tenant draw over one shard's tenants."""
-    rng = random.Random(
-        substream_seed(root_seed, "shard", shard_index, "tenant-rotation")
-    )
-    while True:
-        yield tenant_ids[rng.randrange(len(tenant_ids))]
 
 
 def shard_streams(
@@ -181,29 +157,40 @@ def shard_streams(
     }
 
 
+def shard_schedule(
+    stream: LoadGenConfig,
+    shard_index: int,
+    tenant_ids: Sequence[str],
+    rotation_seed: int,
+) -> Iterator[tuple[float, str, int]]:
+    """One shard's ``(arrival_time, tenant_id, n_jobs)`` groups, the
+    schedule both fleet drivers submit: ``stream`` (its share from
+    :func:`shard_streams`) with a seeded draw over the shard's tenants."""
+    rng = random.Random(
+        substream_seed(rotation_seed, "shard", shard_index, "tenant-rotation")
+    )
+    for arrival_time, n_jobs in arrival_schedule(stream):
+        yield arrival_time, tenant_ids[rng.randrange(len(tenant_ids))], n_jobs
+
+
 def drive_shard_load(
     shard: BrokerShard, stream: LoadGenConfig, rotation_seed: int
 ) -> SubmissionTiming:
-    """Drive one shard's arrival stream to completion, wherever it runs.
+    """Drive one shard's schedule to completion, wherever it runs.
 
-    This is the body of the executor's ``load`` op: the in-process
-    executor calls it here, a worker process calls it on its own shard —
-    the stream and rotation are regenerated from seeds either way, so
-    the submissions are byte-identical across executors.
+    This is the body of the executor's ``load`` op, in this process or
+    in the shard's worker; the schedule is regenerated from seeds either
+    way. Each group goes through :meth:`BrokerShard.submit_count`, as a
+    ``POST /v1/jobs`` does; a group whose tenant's quota is spent counts
+    as refused.
     """
-    generator = WorkloadGenerator(bucket=stream.bucket, seed=stream.seed)
-    rotation = _tenant_rotation(shard.tenant_ids, shard.index, rotation_seed)
-    # The tenant draw rides the arrival iterator, outside the timed
-    # region: drive_arrivals times submit() round trips only.
-    arrivals = (
-        (arrival_time, jobs, next(rotation))
-        for arrival_time, jobs in generate_arrivals(stream, generator=generator)
-    )
+    schedule = shard_schedule(stream, shard.index, shard.tenant_ids, rotation_seed)
     return drive_arrivals(
-        lambda arrival_time, jobs, tenant_id: shard.submit(
-            tenant_id, jobs, arrival_time=arrival_time
+        (
+            (n_jobs, partial(shard.submit_count, tenant_id, n_jobs, arrival_time))
+            for arrival_time, tenant_id, n_jobs in schedule
         ),
-        arrivals,
+        refused=QuotaExceededError,
     )
 
 
@@ -217,9 +204,9 @@ def run_fleet_load(
     ``load`` is the fleet-wide stream, split per shard by
     :func:`shard_streams`. Empty shards (no tenants routed to them)
     receive no arrivals; their brokers still run to completion so the
-    merged trace covers the whole fleet. Submission timing excludes job
-    synthesis and tenant draws — only the quote/admit/dispatch round
-    trip is on the clock, same convention as the single-broker driver.
+    merged trace covers the whole fleet. Each shard's submit clock covers
+    :meth:`BrokerShard.submit_count` — job synthesis on the shard, then
+    quote, admit and dispatch — but not the schedule or tenant draws.
     """
     # Every refusal happens before FleetManager exists: under the
     # multiprocess executor a later one would leak the workers.
@@ -301,14 +288,11 @@ def run_client_load(
     The in-process driver (:func:`run_fleet_load`) measures the brokers;
     this drives the whole service — schema validation, routing, JSON —
     against whatever ``repro fleet serve`` stood up. It replays the
-    in-process schedule: tenants are grouped by home shard as
-    ``GET /v1/tenants`` reports them, :func:`shard_streams` splits
-    ``load``, and each shard's ``(arrival_time, tenant, n_jobs)``
-    sequence is the one :func:`drive_shard_load` would submit, sent with
-    its ``arrival_time_s``. The shards are interleaved in ``(time,
-    shard)`` order; each shard's own order is kept, as its broker
-    requires. After a tenant's first HTTP 429 its later groups are
-    skipped without a request; ``quota_refusals`` counts both.
+    in-process schedule: tenants grouped by home shard as ``GET
+    /v1/tenants`` reports them, each shard's :func:`shard_schedule` sent
+    in order with its ``arrival_time_s``, the shards interleaved by
+    ``(time, shard)``. After a tenant's first HTTP 429 its later groups
+    are skipped without a request; ``quota_refusals`` counts both.
     """
     from .client import FleetAPIError, FleetClient
 
@@ -318,18 +302,13 @@ def run_client_load(
         for tenant in client.tenants():
             by_shard.setdefault(tenant.shard, []).append(tenant.tenant_id)
         schedules = [
-            (
-                (t, index, n_jobs, tenant_id)
-                for (t, n_jobs), tenant_id in zip(
-                    arrival_schedule(stream),
-                    _tenant_rotation(by_shard[index], index, load.seed),
-                )
-            )
+            shard_schedule(stream, index, by_shard[index], load.seed)
             for index, stream in shard_streams(load, by_shard).items()
         ]
         exhausted: list[str] = []
-        for t, _, n_jobs, tenant_id in heapq.merge(
-            *schedules, key=lambda arrival: arrival[:2]
+        # merge() breaks equal arrival times by schedule, i.e. shard order.
+        for t, tenant_id, n_jobs in heapq.merge(
+            *schedules, key=lambda group: group[0]
         ):
             if tenant_id in exhausted:
                 result.quota_refusals += 1

@@ -25,6 +25,7 @@ would "pass" payloads it never checked.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 __all__ = ["SchemaError", "validate"]
@@ -84,6 +85,9 @@ def validate(value: Any, schema: dict, path: str = "") -> None:
             raise SchemaError(path, f"longer than {schema['maxLength']} characters")
 
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # json.loads accepts NaN and Infinity; JSON has neither.
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(path, f"expected a finite number, got {value!r}")
         if "minimum" in schema and value < schema["minimum"]:
             raise SchemaError(path, f"below minimum {schema['minimum']}")
         if "maximum" in schema and value > schema["maximum"]:

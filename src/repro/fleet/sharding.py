@@ -276,15 +276,15 @@ class BrokerShard(RunPlugin):
         return self.policy.snapshot()
 
     # ------------------------------------------------------------------
-    # Job synthesis (HTTP front)
+    # Job synthesis (every fleet driver submits counts)
     # ------------------------------------------------------------------
     def synthesize_jobs(
         self, n: int, arrival_time: Optional[float] = None
     ) -> tuple[float, list[Job]]:
         """Draw ``n`` jobs from this shard's seeded API substream.
 
-        The HTTP front submits job *counts*, not job bodies — the
-        document population is the paper's generator, so the service is
+        Fleet drivers submit job *counts*, not job bodies — the document
+        population is the paper's generator, so the fleet is
         deterministic given its seed. Returns the workload-relative
         arrival instant (defaulting to the shard's current virtual time)
         and the jobs stamped with it.
@@ -317,10 +317,10 @@ class BrokerShard(RunPlugin):
         n_jobs: int,
         arrival_time: Optional[float] = None,
     ) -> tuple[float, list[SubmissionOutcome]]:
-        """Synthesise ``n_jobs`` and :meth:`submit` them (the HTTP path).
+        """Synthesise ``n_jobs`` and :meth:`submit` them (every fleet driver).
 
         An exhausted tenant raises :class:`QuotaExceededError` *before*
-        synthesis, so a 429 leaves the API substream untouched."""
+        synthesis, so a refusal leaves the API substream untouched."""
         account = self.accounts[tenant_id]
         if account.quota_remaining == 0:
             raise QuotaExceededError(tenant_id, account.quota_jobs or 0)
@@ -341,9 +341,8 @@ class BrokerShard(RunPlugin):
         the simulated system. The refusal is conservative at group
         granularity — allowance counts jobs the policy might still
         reject — which keeps the check a pure function of the account
-        state at arrival. Exhausted quota refuses, never raises: batch
-        drivers keep streaming and the refusals surface in the report,
-        while :meth:`submit_count` raises for the HTTP front's 429.
+        state at arrival. Only a partly allowed group's tail is refused
+        here: :meth:`submit_count` raises for a tenant with none left.
         """
         account = self.accounts[tenant_id]
         jobs = list(jobs)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -131,12 +132,14 @@ class SubmissionTiming:
 
     The measured unit is the *submission round trip* — run_until event
     playback, state snapshot, quoting, admission, dispatch — because that
-    whole path is what a caller of a real service waits on. Job synthesis
-    happens in the arrival iterator, outside the timed region.
+    whole path is what a caller of a real service waits on. The group
+    iterator's own work (single-broker job synthesis) stays off the clock.
     """
 
     n_submitted: int = 0
     n_groups: int = 0
+    #: Groups refused whole (a fleet tenant's quota spent), not timed.
+    n_refused: int = 0
     submit_wall_s: float = 0.0
     #: CPU seconds this process spent inside submit() round trips. On a
     #: loaded machine wall > cpu; per-worker cpu is what one shard would
@@ -147,30 +150,33 @@ class SubmissionTiming:
 
 
 def drive_arrivals(
-    submit: Callable[..., object],
-    arrivals: Iterable[tuple[Any, ...]],
+    groups: Iterable[tuple[int, Callable[[], object]]],
+    refused: type[Exception] | tuple[type[Exception], ...] = (),
 ) -> SubmissionTiming:
-    """Push an arrival stream through ``submit``, timing each round trip.
+    """Submit an arrival stream group by group, timing each round trip.
 
-    Each arrival is ``(arrival_time, jobs, *rest)`` and performs one
-    submission group as ``submit(arrival_time, jobs, *rest)`` — the fleet
-    driver carries the group's tenant in ``rest``. Both the single-broker
-    driver (:func:`run_load`) and the fleet's per-shard driver
+    Each group is ``(n_jobs, submit)``; calling ``submit()`` performs the
+    group's one submission. Both the single-broker driver
+    (:func:`run_load`) and the fleet's per-shard driver
     (:mod:`repro.fleet.loadgen`) share this loop so their throughput
-    figures measure the same thing. Per-job quote latency is the group's
-    wall cost divided by the group size.
+    figures measure the same thing. A ``submit`` that raises one of
+    ``refused`` counts in ``n_refused`` and submitted nothing.
+    Per-job quote latency is the group's wall cost divided by its size.
     """
     timing = SubmissionTiming()
-    for arrival_time, jobs, *rest in arrivals:
+    for n_jobs, submit in groups:
         t0 = time.perf_counter()  # repro: allow[DET001] quote-latency meter
         c0 = time.process_time()  # repro: allow[DET001] quote-latency meter
-        submit(arrival_time, jobs, *rest)
+        try:
+            submit()
+        except refused:
+            timing.n_refused += 1
+            continue
         group_s = time.perf_counter() - t0  # repro: allow[DET001] quote-latency meter
         timing.submit_cpu_s += time.process_time() - c0  # repro: allow[DET001] quote-latency meter
         timing.submit_wall_s += group_s
-        per_job = group_s / len(jobs)
-        timing.quote_latency_s.extend([per_job] * len(jobs))
-        timing.n_submitted += len(jobs)
+        timing.quote_latency_s.extend([group_s / n_jobs] * n_jobs)
+        timing.n_submitted += n_jobs
         timing.n_groups += 1
     return timing
 
@@ -252,8 +258,8 @@ def run_load(
     )
 
     timing = drive_arrivals(
-        lambda arrival_time, jobs: broker.submit(jobs, arrival_time=arrival_time),
-        generate_arrivals(config, generator=gen),
+        (len(jobs), partial(broker.submit, jobs, arrival_time=arrival_time))
+        for arrival_time, jobs in generate_arrivals(config, generator=gen)
     )
     result.n_submitted = timing.n_submitted
     result.n_groups = timing.n_groups

@@ -391,11 +391,6 @@ class CloudBurstEnvironment:
     def _site_download(self, site: int) -> TransferPipeline:
         return self.download if site == 0 else self.extra_site_runtimes[site - 1].download
 
-    def _site_speed(self, site: int) -> float:
-        if site == 0:
-            return self.config.ec_speed
-        return self.extra_site_runtimes[site - 1].spec.speed
-
     # ------------------------------------------------------------------
     # Model training
     # ------------------------------------------------------------------

@@ -294,21 +294,6 @@ class FluidLink:
         caps = np.array([t.cap_mbps for t in self.active], dtype=float)
         return waterfill(self.capacity.current_mbps, caps)
 
-    @property
-    def queue_mb(self) -> float:
-        """MB still in flight across all active transfers."""
-        self._advance()
-        return float(sum(t.remaining_mb for t in self.active))
-
-    def estimate_transfer_time(self, size_mb: float, threads: int, est_mbps: float) -> float:
-        """Scheduler-side estimate: serialised at the *estimated* bandwidth.
-
-        The schedulers estimate ``s_i / l(t)`` (Eq. 2) from the learned
-        bandwidth model, not from the link's hidden true state.
-        """
-        rate = min(threads * self.per_thread_mbps, max(est_mbps, 1e-6))
-        return size_mb / rate
-
     # ------------------------------------------------------------------
     # Fluid mechanics
     # ------------------------------------------------------------------

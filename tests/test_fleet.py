@@ -206,7 +206,7 @@ class TestQuota:
         assert all(o.quote is not None for o in refused)
 
     def test_exhausted_quota_refuses_everything_without_raising(self):
-        # The batch drivers' path: BrokerShard.submit refuses, never raises.
+        # BrokerShard.submit itself refuses, never raises.
         manager = self.make_fleet(quota_jobs=2)
         manager.submit_count("capped", 2)
         account = manager.account("capped")
@@ -217,7 +217,7 @@ class TestQuota:
         assert [o.result.reason for o in outcomes] == [QUOTA_REASON] * 3
 
     def test_submit_count_on_exhausted_tenant_raises(self):
-        # The HTTP front's path: one submit command that raises for 429.
+        # Every fleet driver's path: one submit command that raises.
         manager = self.make_fleet(quota_jobs=2)
         manager.submit_count("capped", 2)
         assert manager.account("capped").quota_remaining == 0

@@ -6,8 +6,8 @@ malformed bodies get a 400 with a path-qualified schema error and never
 touch a shard, unknown tenants get 404, exhausted quotas get the
 distinct 429, and no request — including one that trips an internal
 fault — kills the server. The HTTP load driver (``run_client_load``)
-must replay the in-process driver's per-shard schedule, and the load
-verbs must end bad input in one line.
+must replay the in-process driver's per-shard schedule and drain to its
+digest, and the load verbs must end bad input in one line.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import threading
 import urllib.error
 import urllib.request
 from collections import defaultdict
-from contextlib import contextmanager
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.fleet import (
+    BRONZE,
     BrokerShard,
     FleetAPIError,
     FleetAPIServer,
@@ -34,24 +34,11 @@ from repro.fleet import (
     TenantRegistry,
     default_registry,
     run_fleet_load,
+    serve_in_thread,
     shard_streams,
 )
 from repro.fleet.loadgen import run_client_load
 from repro.service import LoadGenConfig, arrival_schedule
-
-
-@contextmanager
-def serving(manager):
-    """An in-thread API server over ``manager``, shut down on exit."""
-    srv = FleetAPIServer(manager, port=0)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield srv
-    finally:
-        srv.shutdown()
-        srv.server_close()
-        thread.join(timeout=5)
 
 
 @pytest.fixture
@@ -65,11 +52,11 @@ def server():
     manager = FleetManager(
         FleetConfig(n_shards=2, seed=2024, pretrain_jobs=40), registry
     )
-    with serving(manager) as srv:
+    with serve_in_thread(manager) as srv:
         yield srv
 
 
-def request(srv, path, body=None, raw: bytes = None):
+def request(srv, path, body=None, raw: bytes = None, timeout: float = 10):
     """One round trip; returns (status, parsed_json_body)."""
     data = raw if raw is not None else (
         json.dumps(body).encode() if body is not None else None
@@ -81,7 +68,7 @@ def request(srv, path, body=None, raw: bytes = None):
         method="POST" if data is not None else "GET",
     )
     try:
-        with urllib.request.urlopen(req, timeout=10) as resp:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
@@ -252,6 +239,36 @@ class TestErrorContract:
         assert error["code"] == "invalid_request"
         assert error["message"] == "body shorter than Content-Length"
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_a_400_and_does_not_wedge_the_front(
+        self, token
+    ):
+        manager = FleetManager(
+            FleetConfig(n_shards=1, seed=2024, pretrain_jobs=40),
+            TenantRegistry([TenantSpec(tenant_id="roomy")]),
+        )
+        srv = FleetAPIServer(manager)
+
+        def serve_one(body=None, raw=None):
+            # One request per handle_request on a daemon thread, so a
+            # front that never answers fails the test instead of hanging.
+            thread = threading.Thread(target=srv.handle_request, daemon=True)
+            thread.start()
+            reply = request(srv, "/v1/jobs", body, raw, timeout=5)
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            return reply
+
+        try:
+            raw = f'{{"tenant": "roomy", "n_jobs": 1, "arrival_time_s": {token}}}'
+            status, body = serve_one(raw=raw.encode())
+            assert status == 400
+            assert body["error"]["code"] == "schema_violation"
+            assert body["error"]["path"] == "arrival_time_s"
+            assert serve_one({"tenant": "roomy", "n_jobs": 1})[0] == 200
+        finally:
+            srv.server_close()
+
     def test_client_hangup_is_not_a_traceback(self, server, capsys):
         try:
             raise BrokenPipeError("client went away")
@@ -291,50 +308,59 @@ DRIVER_LOAD = LoadGenConfig(
 def served_load(registry):
     """``DRIVER_LOAD`` over HTTP against a fresh fleet, then drained."""
     manager = FleetManager(DRIVER_FLEET, registry)
-    with serving(manager) as srv:
+    with serve_in_thread(manager) as srv:
         result = run_client_load(srv.url, DRIVER_LOAD)
     return result, manager.finish()
 
 
+def starved_registry():
+    """Four tenants plus one whose two-job quota runs out mid-run."""
+    registry = default_registry(4)
+    registry.register(
+        TenantSpec(tenant_id="starved-005", sla_class=BRONZE, quota_jobs=2)
+    )
+    return registry
+
+
 @pytest.fixture
 def served_groups(monkeypatch):
-    """Per shard, each ``(arrival_time_s, tenant, n_jobs)`` submitted."""
+    """Per shard, each ``(arrival_time, tenant, n_jobs)`` reaching
+    :meth:`BrokerShard.submit_count`, the one entry both drivers use."""
     groups = defaultdict(list)
-    submit_count = FleetManager.submit_count
+    submit_count = BrokerShard.submit_count
 
-    def record(manager, tenant_id, n_jobs, arrival_time_s=None):
-        groups[manager.shard_index_for(tenant_id)].append(
-            (arrival_time_s, tenant_id, n_jobs)
-        )
-        return submit_count(manager, tenant_id, n_jobs, arrival_time_s)
+    def record(shard, tenant_id, n_jobs, arrival_time=None):
+        groups[shard.index].append((arrival_time, tenant_id, n_jobs))
+        return submit_count(shard, tenant_id, n_jobs, arrival_time)
 
-    monkeypatch.setattr(FleetManager, "submit_count", record)
+    monkeypatch.setattr(BrokerShard, "submit_count", record)
     return groups
 
 
 class TestClientLoad:
-    def test_http_replays_the_in_process_schedule(
-        self, monkeypatch, served_groups
-    ):
-        in_process = defaultdict(list)
-        submit = BrokerShard.submit
-
-        def record(shard, tenant_id, jobs, arrival_time=None):
-            in_process[shard.index].append(
-                (arrival_time, tenant_id, len(jobs))
-            )
-            return submit(shard, tenant_id, jobs, arrival_time=arrival_time)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(BrokerShard, "submit", record)
-            run_fleet_load(
-                DRIVER_FLEET, DRIVER_LOAD, registry=default_registry(12)
-            )
+    def test_http_replays_the_in_process_schedule(self, served_groups):
+        run_fleet_load(DRIVER_FLEET, DRIVER_LOAD, registry=default_registry(12))
+        in_process = dict(served_groups)
+        served_groups.clear()
         result, _ = served_load(default_registry(12))
         assert sorted(in_process) == [0, 1, 2]
         # Equal lists also pin that every POST carried its arrival time.
         assert served_groups == in_process
         assert result.n_submitted == DRIVER_LOAD.n_jobs
+
+    @pytest.mark.parametrize(
+        "make_registry",
+        [lambda: default_registry(12), starved_registry],
+        ids=["plain", "starved"],
+    )
+    def test_direct_and_served_drain_to_one_digest(self, make_registry):
+        direct = run_fleet_load(DRIVER_FLEET, DRIVER_LOAD, registry=make_registry())
+        served, report = served_load(make_registry())
+        assert report.sha256 == direct.report.sha256
+        assert served.quota_refusals == direct.quota_refusals
+        assert served.n_submitted == direct.n_submitted
+        if make_registry is starved_registry:
+            assert direct.quota_refusals > 0
 
     def test_served_runs_drain_to_one_digest(self, served_groups):
         _, first = served_load(default_registry(12))

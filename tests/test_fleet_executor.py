@@ -39,11 +39,11 @@ from repro.fleet import (
     ShardLostError,
     TenantRegistry,
     TenantSpec,
+    serve_in_thread,
 )
 from repro.fleet.client import parse_error
 from repro.fleet.executor import MultiprocessExecutor, _picklable
 from repro.service.loadgen import LoadGenConfig
-from tests.test_fleet_api import serving
 
 
 def small_registry() -> TenantRegistry:
@@ -326,7 +326,7 @@ class TestOneCommandPerRequest:
                  ("capped", 1), ("acme-004", 1)]
         refused = []
         try:
-            with serving(manager) as server, FleetClient(server.url) as client:
+            with serve_in_thread(manager) as server, FleetClient(server.url) as client:
                 for tenant_id, n_jobs in posts:
                     try:
                         client.submit(tenant_id, n_jobs)
@@ -344,7 +344,7 @@ class TestOneCommandPerRequest:
     def test_exhausted_quota_is_a_429_under_both_executors(self, executor):
         manager = FleetManager(small_config(executor=executor), capped_registry())
         try:
-            with serving(manager) as server, FleetClient(server.url) as client:
+            with serve_in_thread(manager) as server, FleetClient(server.url) as client:
                 client.submit("capped", 5)
                 with pytest.raises(FleetAPIError) as info:
                     client.submit("capped", 1)
