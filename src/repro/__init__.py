@@ -18,61 +18,60 @@ Quickstart
 True
 """
 
-from .core.base import BatchPlan, Decision, Scheduler, SystemState
-from .core.bandwidth_splitting import SizeIntervalSplittingScheduler
-from .core.chunking import ChunkPolicy
-from .core.estimators import FinishTimeEstimator
-from .core.greedy import GreedyScheduler
-from .core.ic_only import ICOnlyScheduler
-from .core.multi_ec import MultiECGreedyScheduler, MultiECOrderPreservingScheduler
-from .core.order_preserving import OrderPreservingScheduler
-from .core.slack import SlackLedger, slack_time
-from .core.ticket_aware import TicketAwareScheduler, TicketQuote
-from .metrics.oo import OOSeries, ordered_data_series, relative_oo_difference
-from .metrics.series import completion_series, peak_stats
-from .metrics.report import ComparisonReport, build_report
-from .metrics.tickets import (
-    FixedSlaTicket,
-    ProportionalTicket,
-    ticket_compliance,
-    ticket_report,
-)
-from .metrics.sla import (
-    SLASummary,
-    burst_ratio,
-    ec_utilization,
-    ic_utilization,
-    makespan,
-    speedup,
-    summarize,
-)
-from .models.bandwidth import DiurnalBandwidthProfile, TimeOfDayBandwidthEstimator
-from .models.qrsm import QuadraticResponseSurface
-from .models.threads import ThreadTuner
-from .metrics.streaming import ReservoirSampler, StreamingSLAStats
-from .service import (
-    AdmissionDecision,
-    AdmissionResult,
-    BurstBroker,
-    LoadGenConfig,
-    LoadGenResult,
-    SLAPolicy,
-    SLAQuote,
-    SubmissionOutcome,
-    quote_job,
-    replay_workload,
-    run_load,
-    run_one_online,
-)
-from .sim.engine import Simulator
-from .sim.environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
-from .sim.faults import OutageInjector, OutageWindow
-from .sim.tracing import JobRecord, Placement, RunTrace
-from .sim.validation import validate_trace
-from .workload.distributions import Bucket, bucket_distribution
-from .workload.document import DocumentFeatures, Job, JobType
-from .workload.generator import Batch, WorkloadConfig, WorkloadGenerator
-from .workload.processing import GroundTruthProcessingModel
+import os
+
+# One OpenBLAS thread per process, set before anything in repro imports
+# numpy. The QRSM's 400x45 least-squares fit gains nothing from a thread
+# pool, and on a 2-vCPU host the pool's warm-up stalls the first fits of
+# a fresh process for up to ~185 ms each: every spawned shard worker
+# pretrains at boot. Spawned workers inherit the environment; an
+# explicit value still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    ".common": ("Placement",),
+    ".core.base": ("BatchPlan", "Decision", "Scheduler", "SystemState"),
+    ".core.bandwidth_splitting": ("SizeIntervalSplittingScheduler",),
+    ".core.chunking": ("ChunkPolicy",),
+    ".core.estimators": ("FinishTimeEstimator",),
+    ".core.greedy": ("GreedyScheduler",),
+    ".core.ic_only": ("ICOnlyScheduler",),
+    ".core.multi_ec": ("MultiECGreedyScheduler", "MultiECOrderPreservingScheduler"),
+    ".core.order_preserving": ("OrderPreservingScheduler",),
+    ".core.slack": ("SlackLedger", "slack_time"),
+    ".core.ticket_aware": ("TicketAwareScheduler", "TicketQuote"),
+    ".metrics.oo": ("OOSeries", "ordered_data_series", "relative_oo_difference"),
+    ".metrics.series": ("completion_series", "peak_stats"),
+    ".metrics.report": ("ComparisonReport", "build_report"),
+    ".metrics.tickets": (
+        "FixedSlaTicket", "ProportionalTicket", "ticket_compliance", "ticket_report",
+    ),
+    ".metrics.sla": (
+        "SLASummary", "burst_ratio", "ec_utilization", "ic_utilization",
+        "makespan", "speedup", "summarize",
+    ),
+    ".metrics.streaming": ("ReservoirSampler", "StreamingSLAStats"),
+    ".models.bandwidth": ("DiurnalBandwidthProfile", "TimeOfDayBandwidthEstimator"),
+    ".models.qrsm": ("QuadraticResponseSurface",),
+    ".models.threads": ("ThreadTuner",),
+    ".service.broker": ("BurstBroker", "SubmissionOutcome"),
+    ".service.loadgen": ("LoadGenConfig", "LoadGenResult", "run_load"),
+    ".service.policy": ("AdmissionDecision", "AdmissionResult", "SLAPolicy"),
+    ".service.quotes": ("SLAQuote", "quote_job"),
+    ".service.replay": ("replay_workload", "run_one_online"),
+    ".sim.engine": ("Simulator",),
+    ".sim.environment": ("CloudBurstEnvironment", "ECSiteSpec", "SystemConfig"),
+    ".sim.faults": ("OutageInjector", "OutageWindow"),
+    ".sim.tracing": ("JobRecord", "RunTrace"),
+    ".sim.validation": ("validate_trace",),
+    ".workload.distributions": ("Bucket", "bucket_distribution"),
+    ".workload.document": ("DocumentFeatures", "Job", "JobType"),
+    ".workload.generator": ("Batch", "WorkloadConfig", "WorkloadGenerator"),
+    ".workload.processing": ("GroundTruthProcessingModel",),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 

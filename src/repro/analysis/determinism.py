@@ -331,11 +331,14 @@ def run_cell(
 
 
 def _run_fleet(cell: Cell, seed: int) -> CellRun:
-    # Local import: repro.fleet builds on this module's hash_trace.
-    from ..fleet import BRONZE, FleetConfig, FleetManager, TenantSpec, default_registry
-    from ..fleet import run_fleet_load, serve_in_thread
-    from ..fleet.loadgen import run_client_load
-    from ..service import LoadGenConfig
+    # Local import: repro.fleet builds on this module's hash_trace. The
+    # defining modules, not the lazily exporting packages, so the strict
+    # type check sees real types.
+    from ..fleet.api import serve_in_thread
+    from ..fleet.loadgen import run_client_load, run_fleet_load
+    from ..fleet.sharding import FleetConfig, FleetManager
+    from ..fleet.tenants import BRONZE, TenantSpec, default_registry
+    from ..service.loadgen import LoadGenConfig
 
     registry = default_registry(11 if cell.starved else 12)
     if cell.starved:

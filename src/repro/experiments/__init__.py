@@ -1,20 +1,21 @@
 """Experiment harness: specs, runner, and per-figure/table reproductions."""
 
-from .config import DEFAULT_SPEC, HIGH_VARIATION_SPEC, ExperimentSpec
-from .calibration import RegimeTarget, calibrate, measure_regime
-from .gantt import gantt_svg
-from .persistence import diff_comparisons, load_comparison, save_comparison
-from .report_md import generate_reproduction_report
-from .scaling import ec_instances_for_saturation, ec_scaling_sweep
-from .sweeps import arrival_rate_sweep, bandwidth_sweep, tolerance_sweep
-from .runner import (
-    PAPER_SCHEDULERS,
-    SCHEDULER_NAMES,
-    build_workload,
-    make_scheduler,
-    run_comparison,
-    run_one,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".config": ("DEFAULT_SPEC", "HIGH_VARIATION_SPEC", "ExperimentSpec"),
+    ".calibration": ("RegimeTarget", "calibrate", "measure_regime"),
+    ".gantt": ("gantt_svg",),
+    ".persistence": ("diff_comparisons", "load_comparison", "save_comparison"),
+    ".report_md": ("generate_reproduction_report",),
+    ".scaling": ("ec_instances_for_saturation", "ec_scaling_sweep"),
+    ".sweeps": ("arrival_rate_sweep", "bandwidth_sweep", "tolerance_sweep"),
+    ".runner": (
+        "PAPER_SCHEDULERS", "SCHEDULER_NAMES", "build_workload", "make_scheduler",
+        "run_comparison", "run_one",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "ExperimentSpec", "DEFAULT_SPEC", "HIGH_VARIATION_SPEC",

@@ -36,58 +36,37 @@ determinism contract:
 
 See ``docs/fleet.md`` for the tenancy model, routing, executor process
 model and determinism contract in prose.
+
+The names below are re-exported lazily (:mod:`repro._lazy`), so a
+spawned shard worker that imports :mod:`~repro.fleet.executor` loads
+neither the HTTP front, the client nor the aggregation.
 """
 
-from .aggregate import FleetReport, TenantReport, aggregate_shards, fleet_sha256
-from .api import FleetAPIServer, serve_fleet, serve_in_thread
-from .client import (
-    FleetAPIError,
-    FleetClient,
-    HealthInfo,
-    JobOutcome,
-    MetricsResult,
-    QuoteResult,
-    StatsResult,
-    SubmitResult,
-    TenantInfo,
-)
-from .executor import (
-    EXECUTOR_NAMES,
-    InProcessExecutor,
-    MultiprocessExecutor,
-    ShardExecutor,
-    ShardLostError,
-    ShardStatsSnapshot,
-    WorkerHealth,
-    make_executor,
-)
-from .loadgen import (
-    FleetLoadResult,
-    drive_shard_load,
-    run_fleet_load,
-    shard_streams,
-)
-from .schema import SchemaError, validate
-from .sharding import (
-    BrokerShard,
-    FleetConfig,
-    FleetManager,
-    QuotaExceededError,
-    ShardResult,
-    TenantAccount,
-)
-from .tenants import (
-    BRONZE,
-    GOLD,
-    SILVER,
-    SLA_CLASSES,
-    ScaledTicket,
-    SLAClass,
-    TenantSpec,
-    TenantRegistry,
-    UnknownTenantError,
-    default_registry,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".aggregate": ("FleetReport", "TenantReport", "aggregate_shards", "fleet_sha256"),
+    ".api": ("FleetAPIServer", "serve_fleet", "serve_in_thread"),
+    ".client": (
+        "FleetAPIError", "FleetClient", "HealthInfo", "JobOutcome", "MetricsResult",
+        "QuoteResult", "StatsResult", "SubmitResult", "TenantInfo",
+    ),
+    ".executor": (
+        "EXECUTOR_NAMES", "InProcessExecutor", "MultiprocessExecutor", "ShardExecutor",
+        "ShardLostError", "ShardStatsSnapshot", "WorkerHealth", "make_executor",
+    ),
+    ".loadgen": ("FleetLoadResult", "drive_shard_load", "run_fleet_load", "shard_streams"),
+    ".schema": ("SchemaError", "validate"),
+    ".sharding": (
+        "BrokerShard", "FleetConfig", "FleetManager", "QuotaExceededError",
+        "ShardResult", "TenantAccount",
+    ),
+    ".tenants": (
+        "BRONZE", "GOLD", "SILVER", "SLA_CLASSES", "ScaledTicket", "SLAClass",
+        "TenantSpec", "TenantRegistry", "UnknownTenantError", "default_registry",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "SLAClass", "GOLD", "SILVER", "BRONZE", "SLA_CLASSES",

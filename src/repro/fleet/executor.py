@@ -33,6 +33,8 @@ Two executors implement it:
   string (no pids, no addresses, no times) flows into the aggregation
   digest. SIGTERM to a worker triggers a graceful drain: the shard is
   finished and its result handed back before the process exits.
+  Workers boot with one OpenBLAS thread, inherited from the default
+  ``import repro`` sets, and import only the shard stack.
 
 Both executors route every op through the same :func:`_apply` dispatch,
 so the shard-index-order fold under one ``fleet_sha256`` is byte-identical

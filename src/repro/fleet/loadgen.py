@@ -38,7 +38,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from ..common import split_evenly, substream_seed
 from ..service.loadgen import (
@@ -47,9 +47,11 @@ from ..service.loadgen import (
     arrival_schedule,
     drive_arrivals,
 )
-from .aggregate import FleetReport
 from .sharding import BrokerShard, FleetConfig, FleetManager, QuotaExceededError
 from .tenants import TenantRegistry, default_registry
+
+if TYPE_CHECKING:
+    from .aggregate import FleetReport
 
 __all__ = [
     "FleetLoadResult",

@@ -14,19 +14,19 @@ The subsystem that turns the offline reproduction into an *online* system:
   throughput and quote-latency measurement.
 """
 
-from .broker import BurstBroker, SubmissionOutcome
-from .loadgen import (
-    LoadGenConfig,
-    LoadGenResult,
-    SubmissionTiming,
-    arrival_schedule,
-    drive_arrivals,
-    generate_arrivals,
-    run_load,
-)
-from .policy import AdmissionDecision, AdmissionResult, SLAPolicy
-from .quotes import SLAQuote, quote_job
-from .replay import replay_workload, run_one_online
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".broker": ("BurstBroker", "SubmissionOutcome"),
+    ".loadgen": (
+        "LoadGenConfig", "LoadGenResult", "SubmissionTiming", "arrival_schedule",
+        "drive_arrivals", "generate_arrivals", "run_load",
+    ),
+    ".policy": ("AdmissionDecision", "AdmissionResult", "SLAPolicy"),
+    ".quotes": ("SLAQuote", "quote_job"),
+    ".replay": ("replay_workload", "run_one_online"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "BurstBroker", "SubmissionOutcome",

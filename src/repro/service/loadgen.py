@@ -146,12 +146,12 @@ class SubmissionTiming:
     #: cost on its own core, which is what the fleet's modeled aggregate
     #: figure needs when workers timeshare fewer cores than shards.
     submit_cpu_s: float = 0.0
-    quote_latency_s: list[float] = field(default_factory=list)
 
 
 def drive_arrivals(
     groups: Iterable[tuple[int, Callable[[], object]]],
     refused: type[Exception] | tuple[type[Exception], ...] = (),
+    latency_s: Optional[list[float]] = None,
 ) -> SubmissionTiming:
     """Submit an arrival stream group by group, timing each round trip.
 
@@ -161,7 +161,10 @@ def drive_arrivals(
     (:mod:`repro.fleet.loadgen`) share this loop so their throughput
     figures measure the same thing. A ``submit`` that raises one of
     ``refused`` counts in ``n_refused`` and submitted nothing.
-    Per-job quote latency is the group's wall cost divided by its size.
+    Each submitted job's quote latency, its group's wall cost divided by
+    the group's size, is appended to ``latency_s`` when one is given;
+    only :func:`run_load` reports it, so fleet shards keep no per-job
+    list to ship home.
     """
     timing = SubmissionTiming()
     for n_jobs, submit in groups:
@@ -175,7 +178,8 @@ def drive_arrivals(
         group_s = time.perf_counter() - t0  # repro: allow[DET001] quote-latency meter
         timing.submit_cpu_s += time.process_time() - c0  # repro: allow[DET001] quote-latency meter
         timing.submit_wall_s += group_s
-        timing.quote_latency_s.extend([group_s / n_jobs] * n_jobs)
+        if latency_s is not None:
+            latency_s.extend([group_s / n_jobs] * n_jobs)
         timing.n_submitted += n_jobs
         timing.n_groups += 1
     return timing
@@ -257,9 +261,13 @@ def run_load(
         config=config, scheduler_name=scheduler.name, stats=stats
     )
 
+    latency_s: list[float] = []
     timing = drive_arrivals(
-        (len(jobs), partial(broker.submit, jobs, arrival_time=arrival_time))
-        for arrival_time, jobs in generate_arrivals(config, generator=gen)
+        (
+            (len(jobs), partial(broker.submit, jobs, arrival_time=arrival_time))
+            for arrival_time, jobs in generate_arrivals(config, generator=gen)
+        ),
+        latency_s=latency_s,
     )
     result.n_submitted = timing.n_submitted
     result.n_groups = timing.n_groups
@@ -269,5 +277,5 @@ def run_load(
     trace = broker.finish()
     result.drain_wall_s = time.perf_counter() - t0  # repro: allow[DET001] drain-time meter
     result.sim_horizon_s = trace.end_time - env.origin
-    result.quote_latency_s = np.array(timing.quote_latency_s)
+    result.quote_latency_s = np.array(latency_s)
     return result

@@ -39,6 +39,7 @@ from repro.fleet import (
     ShardLostError,
     TenantRegistry,
     TenantSpec,
+    run_fleet_load,
     serve_in_thread,
 )
 from repro.fleet.client import parse_error
@@ -103,6 +104,19 @@ class TestExecutorParity:
                 report.sha256,
             )
         assert outcomes["inprocess"] == outcomes["multiprocess"]
+
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_shard_timings_ship_totals_only(self, executor):
+        # Per-job quote latency is run_load's figure alone; a shard's
+        # timing pickled home by a worker carries counters, no list.
+        result = run_fleet_load(
+            small_config(executor=executor),
+            LoadGenConfig(n_jobs=60, rate_per_s=50.0, process="bursty", seed=3),
+            registry=small_registry(),
+        )
+        assert sum(t.n_submitted for t in result.shard_timings) == 60
+        for timing in result.shard_timings:
+            assert not any(isinstance(v, list) for v in vars(timing).values())
 
     def test_unknown_executor_name_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown executor"):

@@ -373,4 +373,10 @@ class TestLoadGen:
         assert result.jobs_per_s > 0
         assert result.latency_percentile_ms(50) <= result.latency_percentile_ms(99)
         assert result.sim_horizon_s > 0
-        assert "throughput" in result.render()
+        assert len(result.quote_latency_s) == 250
+        rendered = result.render()
+        assert "throughput" in rendered
+        [latency_line] = [
+            line for line in rendered.splitlines() if line.startswith("quote latency")
+        ]
+        assert "mean" in latency_line and "nan" not in latency_line
