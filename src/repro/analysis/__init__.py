@@ -16,50 +16,38 @@ Three complementary layers keep the simulator honest:
   event-time monotonicity, job conservation, non-negative backlogs and
   the SIBS cross-queue policy while a simulation runs.
 
+The names below are re-exported lazily (:mod:`repro._lazy`), so a
+shard worker that needs only the invariants loads no lint engine.
 :mod:`repro.analysis.determinism` (the ``repro check`` harness) is not
-imported eagerly — it pulls in the whole experiments package; import it
-directly where needed.
+re-exported at all — it pulls in the whole experiments package; import
+it directly where needed.
 """
 
-from .invariants import (
-    EnvironmentInvariants,
-    InvariantError,
-    InvariantStats,
-    install_invariants,
-    invariants_enabled,
-)
-from .baseline import Baseline, BaselineDelta, discover_baseline
-from .lint import (
-    LintRule,
-    ModuleContext,
-    Severity,
-    Violation,
-    all_rules,
-    lint_file,
-    lint_source,
-    render_report,
-    run_lint,
-    violation_fingerprint,
-)
-from .output import render_json, render_sarif
-from .project import (
-    ModuleInfo,
-    ProjectIndex,
-    ProjectRule,
-    all_project_rules,
-    lint_project_sources,
-)
-from .queueing import (
-    TheoryComparison,
-    allen_cunneen_wait,
-    batch_arrival_scv,
-    within_batch_wait,
-    compare_ic_only_with_theory,
-    erlang_c,
-    mmc_wait,
-    offered_load,
-    utilization,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    ".baseline": ("Baseline", "BaselineDelta", "discover_baseline"),
+    ".invariants": (
+        "EnvironmentInvariants", "InvariantError", "InvariantStats",
+        "install_invariants", "invariants_enabled",
+    ),
+    ".lint": (
+        "LintRule", "ModuleContext", "Severity", "Violation", "all_rules",
+        "lint_file", "lint_source", "render_report", "run_lint",
+        "violation_fingerprint",
+    ),
+    ".output": ("render_json", "render_sarif"),
+    ".project": (
+        "ModuleInfo", "ProjectIndex", "ProjectRule", "all_project_rules",
+        "lint_project_sources",
+    ),
+    ".queueing": (
+        "TheoryComparison", "allen_cunneen_wait", "batch_arrival_scv",
+        "compare_ic_only_with_theory", "erlang_c", "mmc_wait", "offered_load",
+        "utilization", "within_batch_wait",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     # queueing theory

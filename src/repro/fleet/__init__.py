@@ -12,7 +12,7 @@ determinism contract:
   :func:`repro.common.substream_seed`, sharing no mutable state;
 * **executors** (:mod:`~repro.fleet.executor`) — who drives the shards:
   in this process (default) or one spawn-context worker process per
-  shard behind a bounded command protocol with health beats, crash
+  shard behind a one-pipe command protocol with health beats, crash
   detection and graceful SIGTERM drain; the digest is byte-identical
   across executors (``repro check``'s executor-parity pass);
 * **aggregation** (:mod:`~repro.fleet.aggregate`) — shard-index-ordered

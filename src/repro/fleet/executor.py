@@ -27,12 +27,13 @@ Two executors implement it:
   (``multiprocessing`` *spawn* context — no fork inheriting a warm
   interpreter; every worker rebuilds its shard from ``(index, config,
   tenants)``, which is exactly the determinism contract). Commands
-  travel over bounded queues with timeout + retry-once semantics;
-  workers publish health beats; a dead or wedged worker is detected and
-  surfaced as a deterministic :class:`ShardLostError` whose reason
-  string (no pids, no addresses, no times) flows into the aggregation
-  digest. SIGTERM to a worker triggers a graceful drain: the shard is
-  finished and its result handed back before the process exits.
+  travel over one duplex pipe per worker with timeout + retry-once
+  semantics; workers publish health beats; a dead or wedged worker is
+  detected and surfaced as a deterministic :class:`ShardLostError`
+  whose reason string (no pids, no addresses, no times) flows into the
+  aggregation digest. SIGTERM to a worker triggers a graceful drain: the
+  shard is finished and its result handed back before the process
+  exits.
   Workers boot with one OpenBLAS thread, inherited from the default
   ``import repro`` sets, and import only the shard stack.
 
@@ -45,11 +46,10 @@ parity pass re-proves it on every run.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Protocol, Sequence
 
 from ..obs import MetricsRegistry
@@ -173,8 +173,7 @@ def _worker_main(
     index: int,
     config: FleetConfig,
     tenants: Sequence[TenantSpec],
-    cmd_q: "multiprocessing.queues.Queue[tuple[int, str, tuple[Any, ...]]]",
-    out_q: "multiprocessing.queues.Queue[tuple[int, str, Any]]",
+    conn: "multiprocessing.connection.Connection",
     beat: Any,
 ) -> None:
     """One shard's worker process: rebuild, then serve the command loop.
@@ -182,15 +181,16 @@ def _worker_main(
     SIGTERM is a *drain* request, not a kill: the loop notices the flag,
     finishes the shard, pushes the result under ``_TERM_TAG`` and exits —
     so an orchestrator scaling the fleet down never loses books.
+    End-of-file (or a reset) on ``conn`` means the parent closed it or
+    died: the worker exits without draining.
     """
     term = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: term.set())
     try:
         shard = BrokerShard(index, config, list(tenants))
     except BaseException as exc:  # noqa: BLE001 — boot errors go to the parent
-        out_q.put((_BOOT_TAG, "error", _picklable(exc)))
+        conn.send((_BOOT_TAG, "error", _picklable(exc)))
         return
-    out_q.put((_BOOT_TAG, "ok", index))
 
     # Worker-plane telemetry lands in the shard's own registry, so it
     # ships home piggybacked on the stats/drain replies every other
@@ -209,10 +209,6 @@ def _worker_main(
             buckets=_CMD_CPU_BUCKETS,
             labels=("op",),
         )
-        _depth_gauge = obs.registry.gauge(
-            "fleet_worker_queue_depth",
-            "Command-queue depth observed after each dequeue.",
-        )
 
     stop_beat = threading.Event()
 
@@ -228,31 +224,24 @@ def _worker_main(
 
     drained = False
     try:
+        conn.send((_BOOT_TAG, "ok", index))
         while True:
             if term.is_set():
                 if not drained:
                     try:
-                        out_q.put((_TERM_TAG, "ok", shard.finish()))
+                        conn.send((_TERM_TAG, "ok", shard.finish()))
                     except BaseException:  # noqa: BLE001 — exiting anyway
                         pass
                 break
-            try:
-                cmd_id, op, args = cmd_q.get(timeout=0.1)
-            except queue.Empty:
+            if not conn.poll(0.1):
                 continue
-            if op == "shutdown":
-                out_q.put((cmd_id, "ok", "bye"))
-                break
+            cmd_id, op, args = conn.recv()
             if obs is not None:
-                try:
-                    _depth_gauge.set(float(cmd_q.qsize()))
-                except NotImplementedError:  # qsize unsupported on some hosts
-                    pass
                 cpu0 = time.process_time()  # repro: allow[DET001] worker command-latency meter
             try:
                 payload = _apply(shard, op, args)
             except BaseException as exc:  # noqa: BLE001 — report, keep serving
-                out_q.put((cmd_id, "error", _picklable(exc)))
+                conn.send((cmd_id, "error", _picklable(exc)))
                 continue
             finally:
                 if obs is not None:
@@ -262,7 +251,9 @@ def _worker_main(
                     )
             if op == "drain":
                 drained = True
-            out_q.put((cmd_id, "ok", payload))
+            conn.send((cmd_id, "ok", payload))
+    except (EOFError, OSError):
+        pass  # the parent closed its end or died: nothing left to serve
     finally:
         stop_beat.set()
 
@@ -271,7 +262,7 @@ class ShardExecutor(Protocol):
     """The contract both executors satisfy (structural, no base class)."""
 
     name: str
-    #: Control-plane telemetry owned by the executor itself (send
+    #: Control-plane telemetry owned by the executor itself (reply
     #: retries, lost shards) — merged into the fleet metrics view after
     #: the per-shard registries.
     telemetry: MetricsRegistry
@@ -348,13 +339,11 @@ class _WorkerHandle:
 
     index: int
     process: Any
-    cmd_q: Any
-    out_q: Any
+    conn: Any
     beat: Any
     next_cmd_id: int = 0
     lost_cause: Optional[str] = None
     term_result: Optional[ShardResult] = None
-    pending: list[int] = field(default_factory=list)
 
 
 class MultiprocessExecutor:
@@ -362,17 +351,20 @@ class MultiprocessExecutor:
 
     Robustness model:
 
-    * **bounded command queues** — ``config.command_queue_depth`` deep;
-      an enqueue that stays full past ``command_timeout_s`` is retried
-      once, then the shard is declared lost;
+    * **one duplex pipe per worker** — at most one command is in
+      flight per worker, so every reply answers the command just sent;
     * **timeout + retry-once** on replies — a reply window that expires
       while the worker is still alive is granted exactly one more
       window (slow ≠ dead); a second expiry loses the shard;
-    * **crash detection** — a dead worker process (or a boot failure)
-      raises :class:`ShardLostError` with a stable cause string;
+    * **crash detection** — a dead worker shows at once as end-of-file
+      on its pipe (as does a boot that dies), and raises
+      :class:`ShardLostError` with a stable cause string;
     * **graceful drain** — SIGTERM'd workers finish their shard and push
       the result before exiting; :meth:`drain` folds those results in
-      exactly as if the parent had asked.
+      exactly as if the parent had asked;
+    * **no leftover processes** — :meth:`close` escalates to a kill
+      for a worker that will not exit, and an orphaned worker sees
+      end-of-file and exits.
 
     A shard, once lost, stays lost: every later op fails fast with the
     recorded cause, and :meth:`drain` reports it to aggregation instead
@@ -386,7 +378,7 @@ class MultiprocessExecutor:
         self.telemetry = MetricsRegistry()
         self._retries = self.telemetry.counter(
             "fleet_executor_retries_total",
-            "Command sends/receives granted a second window, by op.",
+            "Command replies granted a second window, by op.",
             labels=("op",),
         )
         self._lost_total = self.telemetry.counter(
@@ -397,33 +389,32 @@ class MultiprocessExecutor:
         ctx = multiprocessing.get_context("spawn")
         self._handles: list[_WorkerHandle] = []
         for i in range(config.n_shards):
-            cmd_q = ctx.Queue(maxsize=config.command_queue_depth)
-            out_q = ctx.Queue()
+            conn, child_conn = ctx.Pipe()
             beat = ctx.Value("d", 0.0)
             process = ctx.Process(
                 target=_worker_main,
                 args=(i, config, registry.tenants_for_shard(i, config.n_shards),
-                      cmd_q, out_q, beat),
+                      child_conn, beat),
                 name=f"fleet-shard-{i}",
                 daemon=True,
             )
             process.start()
+            # Else the worker's death never shows here as end-of-file.
+            child_conn.close()
             self._handles.append(
-                _WorkerHandle(
-                    index=i, process=process, cmd_q=cmd_q, out_q=out_q, beat=beat
-                )
+                _WorkerHandle(index=i, process=process, conn=conn, beat=beat)
             )
         boot_error: Optional[BaseException] = None
         for handle in self._handles:
-            if boot_error is not None:
-                break
             try:
-                msg = handle.out_q.get(timeout=_BOOT_TIMEOUT_S)
-            except queue.Empty:
+                msg = handle.conn.recv() if handle.conn.poll(_BOOT_TIMEOUT_S) else None
+            except (EOFError, OSError):
+                msg = None
+            if msg is None:
                 boot_error = ShardLostError(
                     handle.index, "boot", "worker failed to start"
                 )
-                continue
+                break
             tag, status, payload = msg
             if tag != _BOOT_TAG or status != "ok":
                 boot_error = (
@@ -431,6 +422,7 @@ class MultiprocessExecutor:
                     if isinstance(payload, BaseException)
                     else ShardLostError(handle.index, "boot", str(payload))
                 )
+                break
         if boot_error is not None:
             self.close()
             raise boot_error
@@ -453,8 +445,7 @@ class MultiprocessExecutor:
         if handle.lost_cause is None:
             handle.lost_cause = f"{cause} during {op!r} command"
             self._lost_total.counter_labels(cause).inc()
-        error = ShardLostError(handle.index, op, cause)
-        return error
+        return ShardLostError(handle.index, op, cause)
 
     def _timeout_s(self, op: str) -> float:
         if op in ("load", "drain"):
@@ -462,78 +453,64 @@ class MultiprocessExecutor:
         return self.config.command_timeout_s
 
     def _poll_unsolicited(self, handle: _WorkerHandle) -> None:
-        """Pick up anything a worker pushed without being asked.
+        """Pick up the books a SIGTERM'd worker pushed without being asked.
 
-        A SIGTERM'd worker drains its shard, pushes the books under
+        Such a worker drains its shard, pushes the books under
         ``_TERM_TAG`` and exits — possibly while no command was in
         flight, so no ``_receive`` loop was there to see it. Called
         before drain decisions so those books are never mistaken for a
         crash.
         """
-        while True:
-            try:
-                tag, _status, payload = handle.out_q.get_nowait()
-            except queue.Empty:
-                return
-            if tag == _TERM_TAG:
-                handle.term_result = payload
-            elif tag in handle.pending:
-                handle.pending.remove(tag)
+        try:
+            while handle.conn.poll():
+                tag, _status, payload = handle.conn.recv()
+                if tag == _TERM_TAG:
+                    handle.term_result = payload
+                # Anything else answers a command whose wait was abandoned.
+        except (EOFError, OSError):
+            pass  # the worker is gone; the next command records how
 
     def _send(self, handle: _WorkerHandle, op: str, args: tuple[Any, ...]) -> int:
         if handle.lost_cause is not None:
             raise ShardLostError(handle.index, op, handle.lost_cause)
         cmd_id = handle.next_cmd_id
         handle.next_cmd_id += 1
-        for attempt in (0, 1):
-            if not handle.process.is_alive():
-                raise self._lose(handle, op, "worker process died")
-            try:
-                handle.cmd_q.put(
-                    (cmd_id, op, args), timeout=self.config.command_timeout_s
-                )
-                handle.pending.append(cmd_id)
-                return cmd_id
-            except queue.Full:
-                if attempt == 1:
-                    raise self._lose(
-                        handle, op, "command queue stayed full"
-                    ) from None
-                self._retries.counter_labels(op).inc()
-        raise AssertionError("unreachable")
+        # Blocks only on a worker stopped since its last reply (which
+        # proves it went back to poll/recv) and a payload over the buffer.
+        try:
+            handle.conn.send((cmd_id, op, args))
+        except OSError:
+            raise self._lose(handle, op, "worker process died") from None
+        return cmd_id
 
     def _receive(self, handle: _WorkerHandle, cmd_id: int, op: str) -> Any:
         timeout_s = self._timeout_s(op)
         retries = 0
         while True:
             try:
-                tag, status, payload = handle.out_q.get(timeout=timeout_s)
-            except queue.Empty:
-                if not handle.process.is_alive():
-                    raise self._lose(handle, op, "worker process died") from None
-                retries += 1
-                if retries > 1:
-                    raise self._lose(
-                        handle, op, "command timed out"
-                    ) from None
-                self._retries.counter_labels(op).inc()
-                continue
+                if not handle.conn.poll(timeout_s):
+                    retries += 1
+                    if retries > 1:
+                        raise self._lose(handle, op, "command timed out")
+                    self._retries.counter_labels(op).inc()
+                    continue
+                tag, status, payload = handle.conn.recv()
+            except (EOFError, OSError):
+                # A worker killed with unread bytes resets the pipe
+                # rather than closing it: the same death either way.
+                raise self._lose(handle, op, "worker process died") from None
             if tag == _TERM_TAG:
                 handle.term_result = payload
                 if op == "drain":
                     # The worker was SIGTERM'd while we waited: its
                     # pushed books ARE the drain answer, and no further
                     # reply is coming.
-                    if cmd_id in handle.pending:
-                        handle.pending.remove(cmd_id)
                     return payload
                 continue
             if tag != cmd_id:
-                # Reply to an earlier command this side already abandoned.
-                if tag in handle.pending:
-                    handle.pending.remove(tag)
+                # The reply to an earlier command whose wait was abandoned
+                # (a signal interrupted it): ids only grow, so skip it.
                 continue
-            handle.pending.remove(cmd_id)
             if status == "error":
                 if isinstance(payload, BaseException):
                     raise payload
@@ -582,29 +559,23 @@ class MultiprocessExecutor:
 
         SIGTERM'd workers already pushed their result; live workers are
         asked to drain; lost workers contribute their cause string. The
-        worker pool is shut down afterwards either way.
+        caller shuts the worker pool down afterwards with :meth:`close`.
         """
         results: list[ShardResult] = []
         lost: dict[int, str] = {}
-        try:
-            for handle in self._handles:
+        for handle in self._handles:
+            if handle.lost_cause is None:
                 self._poll_unsolicited(handle)
-                if handle.term_result is None and handle.lost_cause is None:
+                if handle.term_result is None:
                     try:
                         results.append(self.call(handle.index, "drain"))
                         continue
                     except ShardLostError:
                         pass
-                if handle.term_result is None and handle.lost_cause is None:
-                    # A drain that failed without marking the shard lost
-                    # (cannot happen today; belt and braces).
-                    handle.lost_cause = "drain failed"
-                if handle.term_result is not None:
-                    results.append(handle.term_result)
-                else:
-                    lost[handle.index] = handle.lost_cause or "unknown"
-        finally:
-            self.close()
+            if handle.term_result is not None:
+                results.append(handle.term_result)
+            else:
+                lost[handle.index] = handle.lost_cause or "unknown"
         return results, lost
 
     def health(self) -> list[WorkerHealth]:
@@ -623,22 +594,24 @@ class MultiprocessExecutor:
         return out
 
     def close(self) -> None:
-        """Stop every worker: polite shutdown first, then terminate."""
+        """Stop every worker: end its pipe, then terminate, then kill.
+
+        Closing the parent's end is the shutdown command: a live worker
+        sees end-of-file and exits. A lost shard's worker may be wedged,
+        so it gets no such grace.
+        """
         for handle in self._handles:
-            if handle.process.is_alive() and handle.lost_cause is None:
-                try:
-                    handle.cmd_q.put_nowait((handle.next_cmd_id, "shutdown", ()))
-                    handle.next_cmd_id += 1
-                except queue.Full:
-                    pass
+            handle.conn.close()
         for handle in self._handles:
-            handle.process.join(timeout=2.0)
+            if handle.lost_cause is None:
+                handle.process.join(timeout=2.0)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=2.0)
-            for q in (handle.cmd_q, handle.out_q):
-                q.cancel_join_thread()
-                q.close()
+            if handle.process.is_alive():
+                # A stopped or wedged worker never runs its SIGTERM drain.
+                handle.process.kill()
+                handle.process.join()
 
 
 def make_executor(

@@ -102,7 +102,6 @@ class FleetConfig:
     executor: str = "inprocess"
     command_timeout_s: float = 30.0
     drain_timeout_s: float = 600.0
-    command_queue_depth: int = 16
     telemetry: bool = True
     scaling: Optional[PolicyConfig] = None
 
@@ -113,8 +112,6 @@ class FleetConfig:
             raise ValueError("pretrain_jobs must be positive")
         if self.command_timeout_s <= 0 or self.drain_timeout_s <= 0:
             raise ValueError("executor timeouts must be positive")
-        if self.command_queue_depth < 1:
-            raise ValueError("command_queue_depth must be positive")
 
     def shard_seed(self, index: int) -> int:
         """The environment master seed of shard ``index``."""

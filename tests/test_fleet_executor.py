@@ -7,6 +7,8 @@ The contracts under test, from ISSUE 8:
 * **worker loss** — killing a worker mid-run surfaces a deterministic
   "shard lost" error, surviving shards still fold in shard-index order,
   and two runs losing the same shard the same way agree on the digest;
+  a death mid-command shows at once, a wedged worker is lost, then
+  killed, and workers never outlive their parent;
 * **graceful drain** — a SIGTERM'd worker finishes its shard and its
   books fold in exactly as if the parent had drained it;
 * **strict mode** — ``repro fleet loadgen --strict`` exits nonzero when
@@ -20,7 +22,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -28,6 +33,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.fleet import (
     EXECUTOR_NAMES,
     FleetAPIError,
@@ -214,6 +220,134 @@ class TestWorkerLoss:
         finally:
             manager.finish()
 
+    def test_wedged_worker_is_lost_then_killed(self):
+        manager = FleetManager(
+            small_config(executor="multiprocess", command_timeout_s=0.5),
+            small_registry(),
+        )
+        process = manager.executor._handles[0].process
+        os.kill(process.pid, signal.SIGSTOP)
+        try:
+            with pytest.raises(ShardLostError, match="command timed out"):
+                manager.submit_count(tenants_by_shard(manager)[0], 1)
+            retries = manager.executor.telemetry.get("fleet_executor_retries_total")
+            assert retries.counter_labels("submit").value == 1
+            start = time.monotonic()
+            report = manager.finish()
+            assert time.monotonic() - start < 5.0
+        finally:
+            if process.is_alive():
+                process.kill()
+        assert report.lost_shards == {0: "command timed out during 'submit' command"}
+        # A stopped worker never runs its SIGTERM drain: close kills it.
+        assert not process.is_alive()
+
+    def one_run_killed_mid_command(self) -> "object":
+        manager = FleetManager(
+            small_config(executor="multiprocess", command_timeout_s=10.0),
+            small_registry(),
+        )
+        process = manager.executor._handles[0].process
+        # Stopped, the worker cannot read the submit; it dies holding it.
+        os.kill(process.pid, signal.SIGSTOP)
+        killer = threading.Timer(0.3, os.kill, (process.pid, signal.SIGKILL))
+        killer.start()
+        start = time.monotonic()
+        with pytest.raises(
+            ShardLostError, match="worker process died during 'submit' command"
+        ):
+            manager.submit_count(tenants_by_shard(manager)[0], 1)
+        assert time.monotonic() - start < 3.0
+        killer.join(timeout=5)
+        # Its pipe closes a moment before the killed process is reapable.
+        process.join(timeout=5)
+        assert not process.is_alive()
+        return manager.finish()
+
+    def test_death_mid_command_surfaces_at_once(self):
+        report_a = self.one_run_killed_mid_command()
+        report_b = self.one_run_killed_mid_command()
+        assert report_a.lost_shards == {
+            0: "worker process died during 'submit' command"
+        }
+        assert report_a.sha256 == report_b.sha256
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        code = (
+            "import time\n"
+            "from repro.fleet import FleetConfig, FleetManager, TenantRegistry, TenantSpec\n"
+            "registry = TenantRegistry([TenantSpec(tenant_id=f'acme-{i:03d}') for i in range(1, 5)])\n"
+            "manager = FleetManager(FleetConfig(n_shards=2, pretrain_jobs=20,"
+            " executor='multiprocess'), registry)\n"
+            "print(*[h.pid for h in manager.health()], flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        parent = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            # The pid line comes after the fleet boots; never wait forever.
+            ready, _, _ = select.select([parent.stdout], [], [], 120.0)
+            if not ready:
+                pytest.fail("the fleet subprocess printed no worker pids in 120 s")
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+
+        def running(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"  # a zombie has exited; only its reaper is missing
+
+        deadline = time.monotonic() + 5.0
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        left = [pid for pid in pids if running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+
+    def test_abandoned_reply_is_skipped(self):
+        # A signal that interrupts the wait for a reply (SIGTERM to
+        # ``fleet serve``) leaves that reply unread on the pipe.
+        manager = FleetManager(
+            small_config(executor="multiprocess"), small_registry()
+        )
+        executor = manager.executor
+        try:
+            # Shard 1: the stale reply sits ahead of the next call's.
+            executor._send(executor._handles[1], "stats", ())
+            assert executor.call(1, "stats").index == 1
+            # Shard 0: the stale reply is waiting when the drain begins.
+            executor._send(executor._handles[0], "stats", ())
+            assert executor._handles[0].conn.poll(30.0)
+        finally:
+            report = manager.finish()
+        assert report.lost_shards == {}
+
+    def test_worker_error_in_run_load_leaves_no_reply_behind(self):
+        manager = FleetManager(
+            small_config(executor="multiprocess"), small_registry()
+        )
+        stream = LoadGenConfig(n_jobs=10, rate_per_s=50.0, seed=3)
+        try:
+            # Shard 0 fails on a malformed stream while shard 1 drives
+            # its own; shard 1's reply must not be left for a later op.
+            with pytest.raises(AttributeError):
+                manager.executor.run_load({0: (None, 3), 1: (stream, 3)})
+            assert manager.executor.call(1, "stats").index == 1
+        finally:
+            report = manager.finish()
+        assert not report.lost_shards
+
     def test_strict_loadgen_exits_nonzero_on_loss(self, monkeypatch, capsys):
         import repro.cli as cli
         import repro.fleet.loadgen as loadgen_mod
@@ -398,6 +532,10 @@ class TestDeprecationAliases:
         with pytest.raises(TypeError, match="pretrain_samples"):
             FleetConfig(n_shards=2, pretrain_samples=33)
         assert not hasattr(FleetConfig(n_shards=2), "pretrain_samples")
+
+    def test_command_queue_depth_kwarg_rejected(self):
+        with pytest.raises(TypeError, match="command_queue_depth"):
+            FleetConfig(n_shards=2, command_queue_depth=16)
 
     def test_configs_reject_positional_construction(self):
         with pytest.raises(TypeError):

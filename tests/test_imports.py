@@ -1,7 +1,8 @@
 """Import hygiene: what a fresh interpreter loads, and the BLAS default.
 
 The package ``__init__`` modules of ``repro``, ``repro.fleet``,
-``repro.service`` and ``repro.experiments`` re-export their names lazily
+``repro.service``, ``repro.experiments`` and ``repro.analysis``
+re-export their names lazily
 (PEP 562), so a spawned shard worker imports the shard stack only, and
 ``import repro`` sets one OpenBLAS thread before anything loads numpy.
 Every check runs in a fresh interpreter: this process has long since
@@ -23,15 +24,20 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-LAZY_PACKAGES = ("repro", "repro.fleet", "repro.service", "repro.experiments")
+LAZY_PACKAGES = (
+    "repro", "repro.fleet", "repro.service", "repro.experiments", "repro.analysis",
+)
 
 #: What a shard worker never runs: the HTTP front and its client, the
-#: parent-side fold, the ``repro check`` harness and the report writer.
+#: parent-side fold, the lint engine, the ``repro check`` harness and
+#: the report writer.
 NOT_IN_WORKER = (
     "http.server",
     "repro.fleet.api",
     "repro.fleet.client",
     "repro.fleet.aggregate",
+    "repro.analysis.lint",
+    "repro.analysis.project",
     "repro.analysis.determinism",
     "repro.experiments.figures",
     "repro.experiments.report_md",
