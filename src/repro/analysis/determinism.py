@@ -5,7 +5,8 @@ simulation is a pure function of its inputs. This module turns that
 promise into checkable contracts over named digests:
 
 * :func:`hash_trace` — SHA-256 over every lifecycle timestamp of a
-  :class:`RunTrace` (floats at full bit precision), and
+  :class:`RunTrace` (floats at full bit precision; defined in
+  :mod:`repro.sim.tracing`, where a shard worker uses it), and
   :func:`first_divergence`, which names the first record and field where
   two traces disagree instead of just "hashes differ".
 * :class:`Cell` — what one run attaches: a scheduler, spot churn with
@@ -37,7 +38,7 @@ CLI::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from ..econ import EconConfig, SpotMarketConfig, attach_econ
@@ -46,7 +47,9 @@ from ..experiments.runner import PAPER_SCHEDULERS, run_one
 from ..obs import attach_obs
 from ..policy import ConvergerConfig, PolicyConfig, ScalingPolicy, attach_policy
 from ..sim.environment import CloudBurstEnvironment
-from ..sim.tracing import JobRecord, RunTrace
+from ..sim.tracing import (
+    _RECORD_FIELDS, _TRACE_FIELDS, RunTrace, _canon, canonical_records, hash_trace,
+)
 from .invariants import install_invariants
 
 __all__ = [
@@ -67,51 +70,6 @@ __all__ = [
     "CHECKS",
     "run_checks",
 ]
-
-#: JobRecord fields in declaration order — the canonical hashing schema.
-_RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
-
-#: Run-level fields folded into the hash after the per-record stream.
-_TRACE_FIELDS = ("arrival_time", "end_time", "ic_busy_time", "ec_busy_time")
-
-
-def _canon(value: object) -> str:
-    """A bit-exact textual form: floats hash by their IEEE-754 bits."""
-    if isinstance(value, bool):  # bool before int/float — bool is an int
-        return "T" if value else "F"
-    if isinstance(value, float):
-        return value.hex()
-    return repr(value)
-
-
-def canonical_records(trace: RunTrace) -> list[tuple[str, ...]]:
-    """Every record as a tuple of canonicalised field values, in trace order."""
-    return [
-        tuple(_canon(getattr(record, name)) for name in _RECORD_FIELDS)
-        for record in trace.records
-    ]
-
-
-def hash_trace(trace: RunTrace) -> str:
-    """SHA-256 over every lifecycle timestamp and run-level accumulator.
-
-    Two traces hash equal iff every job record field (including float
-    timestamps, compared at full bit precision) and every run-level busy
-    time agree. Metadata and bandwidth samples are included too — a
-    divergent probe sequence is a determinism bug even if job timestamps
-    happen to coincide.
-    """
-    digest = hashlib.sha256()
-    for row in canonical_records(trace):
-        digest.update("\x1f".join(row).encode())
-        digest.update(b"\x1e")
-    for name in _TRACE_FIELDS:
-        digest.update(f"{name}={_canon(getattr(trace, name))}".encode())
-        digest.update(b"\x1e")
-    for t, mbps in trace.bandwidth_samples:
-        digest.update(f"{_canon(t)},{_canon(mbps)}".encode())
-        digest.update(b"\x1e")
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -140,15 +98,15 @@ class Divergence:
 
 def first_divergence(a: RunTrace, b: RunTrace) -> Optional[Divergence]:
     """Locate the earliest field where two traces disagree, if any."""
-    rows_a, rows_b = canonical_records(a), canonical_records(b)
-    for index, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+    rows = enumerate(zip(canonical_records(a), canonical_records(b)))
+    for index, (row_a, row_b) in rows:
         for name, va, vb in zip(_RECORD_FIELDS, row_a, row_b):
             if va != vb:
                 rec = a.records[index]
                 return Divergence(index, (rec.job_id, rec.sub_id), name, va, vb)
-    if len(rows_a) != len(rows_b):
+    if len(a.records) != len(b.records):
         return Divergence(
-            None, None, "len(records)", str(len(rows_a)), str(len(rows_b))
+            None, None, "len(records)", str(len(a.records)), str(len(b.records))
         )
     for name in _TRACE_FIELDS:
         va, vb = _canon(getattr(a, name)), _canon(getattr(b, name))
@@ -271,10 +229,13 @@ class Cell:
 class CellRun:
     """One run of a cell: its named digests and the counts reports print."""
 
-    #: The run's trace — for a fleet, the shard traces merged.
-    trace: RunTrace
+    #: The run's trace; ``None`` for a fleet, whose shards hash their own.
+    trace: Optional[RunTrace]
     digests: dict[str, str]
     counts: dict[str, int]
+    #: A fleet's per-shard trace digests (or ``LOST`` markers), in
+    #: shard-index order; empty for a single environment.
+    shard_hashes: tuple[str, ...] = ()
 
 
 def attach_cell(
@@ -331,9 +292,9 @@ def run_cell(
 
 
 def _run_fleet(cell: Cell, seed: int) -> CellRun:
-    # Local import: repro.fleet builds on this module's hash_trace. The
-    # defining modules, not the lazily exporting packages, so the strict
-    # type check sees real types.
+    # Local import: the fleet stack is heavy and only fleet cells need
+    # it. The defining modules, not the lazily exporting packages, so
+    # the strict type check sees real types.
     from ..fleet.api import serve_in_thread
     from ..fleet.loadgen import run_client_load, run_fleet_load
     from ..fleet.sharding import FleetConfig, FleetManager
@@ -372,11 +333,11 @@ def _run_fleet(cell: Cell, seed: int) -> CellRun:
     if report.obs is not None:
         digests["registry"] = report.obs.snapshot_sha256()
     counts = {
-        "records": len(report.trace.records),
+        "records": report.n_records,
         "refused groups": refused,
         "quota refusals": report.quota_rejected,
     }
-    return CellRun(report.trace, digests, counts)
+    return CellRun(None, digests, counts, tuple(report.shard_hashes))
 
 
 # ----------------------------------------------------------------------
@@ -413,12 +374,23 @@ def _compare(
     label: str, keys: tuple[str, ...], a: CellRun, b: CellRun
 ) -> CheckResult:
     differ = [key for key in keys if a.digests[key] != b.digests[key]]
-    divergence = first_divergence(a.trace, b.trace) if differ else None
     detail = ", ".join(
         f"{key} {a.digests[key][:16]} vs {b.digests[key][:16]}" for key in differ
     )
-    if divergence is not None:
-        detail += f"; {divergence.render()}"
+    divergence: Optional[Divergence] = None
+    if differ and a.trace is not None and b.trace is not None:
+        divergence = first_divergence(a.trace, b.trace)
+        if divergence is not None:
+            detail += f"; {divergence.render()}"
+    elif differ:
+        shards = enumerate(zip(a.shard_hashes, b.shard_hashes))
+        for index, (hash_a, hash_b) in shards:
+            if hash_a != hash_b:
+                detail += (
+                    f"; first divergence at shard[{index}]: "
+                    f"run A = {hash_a[:16]} vs run B = {hash_b[:16]}"
+                )
+                break
     return CheckResult(
         label=label,
         ok=not differ,

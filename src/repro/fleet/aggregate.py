@@ -5,8 +5,9 @@ ShardResult` objects. This module folds them — always in shard-index
 order, which is what makes every derived artifact a pure function of
 ``(seed, n_shards, workload)``:
 
-* **merged trace** — :func:`repro.sim.tracing.merge_traces` over the
-  shard traces (job ids renumbered, busy times summed);
+* **shard digests** — each shard hashed its own trace at drain
+  (:func:`repro.sim.tracing.hash_trace`), so no job record crosses to
+  the front; the fold keeps those digests and sums the record counts;
 * **merged stats** — :meth:`StreamingSLAStats.merge` folds, exact for
   counts/sums, deterministic for quantile reservoir state;
 * **merged ledger** — :meth:`CostLedger.merge` folds (all fields are
@@ -33,11 +34,9 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..analysis.determinism import hash_trace
 from ..econ.penalties import CostLedger
 from ..metrics.streaming import StreamingSLAStats
 from ..obs import MetricsRegistry
-from ..sim.tracing import RunTrace, merge_traces
 from .sharding import FleetConfig, ShardResult, TenantAccount
 from .tenants import TenantRegistry
 
@@ -112,7 +111,8 @@ class FleetReport:
 
     config: FleetConfig
     shard_hashes: list[str]
-    trace: RunTrace
+    #: Job records across the surviving shards (chunk sub-records count).
+    n_records: int
     stats: StreamingSLAStats
     ledger: CostLedger
     tenants: list[TenantReport]
@@ -287,20 +287,10 @@ def aggregate_shards(
     shard_hashes = []
     for index in range(config.n_shards):
         if index in by_index:
-            shard_hashes.append(hash_trace(by_index[index].trace))
+            shard_hashes.append(by_index[index].trace_sha256)
         elif index in lost:
             shard_hashes.append(f"LOST({lost[index]})")
         # Indexes never driven (impossible today) simply do not appear.
-    trace = merge_traces([r.trace for r in results])
-    trace.metadata["fleet"] = {
-        "n_shards": config.n_shards,
-        "seed": config.seed,
-        "shard_hashes": list(shard_hashes),
-    }
-    if lost:
-        trace.metadata["fleet"]["lost_shards"] = {
-            str(i): c for i, c in sorted(lost.items())
-        }
 
     stats = StreamingSLAStats(reservoir_seed=config.seed)
     ledger = CostLedger()
@@ -339,7 +329,7 @@ def aggregate_shards(
     return FleetReport(
         config=config,
         shard_hashes=shard_hashes,
-        trace=trace,
+        n_records=sum(r.n_records for r in results),
         stats=stats,
         ledger=ledger,
         tenants=tenants,

@@ -15,7 +15,8 @@ op           behaviour
 ``accounts`` every tenant's books (a point-in-time copy off-process)
 ``stats``    live counters snapshot (:class:`ShardStatsSnapshot`)
 ``load``     drive one open-loop arrival stream to completion
-``drain``    finish the shard and return its :class:`ShardResult`
+``drain``    finish the shard and return its :class:`ShardResult`:
+             the trace's digest and the books, no job records
 ============ ========================================================
 
 Two executors implement it:
@@ -390,7 +391,9 @@ class MultiprocessExecutor:
         self._handles: list[_WorkerHandle] = []
         for i in range(config.n_shards):
             conn, child_conn = ctx.Pipe()
-            beat = ctx.Value("d", 0.0)
+            # One writer, and readers only compare ages: a lock would be a
+            # named semaphore that leaks when this process is killed.
+            beat = ctx.Value("d", 0.0, lock=False)
             process = ctx.Process(
                 target=_worker_main,
                 args=(i, config, registry.tenants_for_shard(i, config.n_shards),

@@ -205,8 +205,8 @@ def run_fleet_load(
 
     ``load`` is the fleet-wide stream, split per shard by
     :func:`shard_streams`. Empty shards (no tenants routed to them)
-    receive no arrivals; their brokers still run to completion so the
-    merged trace covers the whole fleet. Each shard's submit clock covers
+    receive no arrivals; their brokers still run to completion so every
+    shard's digest is in the fleet hash. Each shard's submit clock covers
     :meth:`BrokerShard.submit_count` — job synthesis on the shard, then
     quote, admit and dispatch — but not the schedule or tenant draws.
     """

@@ -18,8 +18,9 @@ Determinism contract (the whole point of the design):
 * nothing a shard computes depends on any other shard — shards may be
   driven in any interleave (sequentially here; one process per shard on
   a real deployment) and still produce bit-identical traces;
-* aggregation (:mod:`repro.fleet.aggregate`) folds shard results in
-  shard-index order, making the merged hashes run invariants too.
+* each shard hashes its own trace at drain; aggregation
+  (:mod:`repro.fleet.aggregate`) folds those digests and the shard
+  books in shard-index order, making the fleet hash a run invariant too.
 
 Multi-tenancy inside one shard: each submission group passes its
 tenant's derived :class:`~repro.service.policy.SLAPolicy` to
@@ -48,7 +49,7 @@ from ..service.broker import BurstBroker, SubmissionOutcome
 from ..service.policy import AdmissionDecision, AdmissionResult, SLAPolicy
 from ..service.quotes import SLAQuote, quote_job
 from ..sim.environment import CloudBurstEnvironment, RunPlugin, SystemConfig
-from ..sim.tracing import JobRecord, RunTrace
+from ..sim.tracing import JobRecord, RunTrace, hash_trace
 from ..workload.distributions import Bucket
 from ..workload.document import Job
 from ..workload.generator import WorkloadGenerator
@@ -165,11 +166,15 @@ class TenantAccount:
 
 @dataclass
 class ShardResult:
-    """One shard's finished run, as handed to the aggregator."""
+    """One shard's finished run, as handed to the aggregator: the
+    digest of its trace and its books, never the job records."""
 
     index: int
     seed: int
-    trace: RunTrace
+    #: :func:`~repro.sim.tracing.hash_trace` of the shard's finished trace.
+    trace_sha256: str
+    #: Job records in that trace (chunk sub-records count).
+    n_records: int
     stats: StreamingSLAStats
     ledger: CostLedger
     accounts: dict[str, TenantAccount]
@@ -423,12 +428,13 @@ class BrokerShard(RunPlugin):
 
     # ------------------------------------------------------------------
     def finish(self) -> ShardResult:
-        """Drain the shard and close its books."""
+        """Drain the shard, close its books and digest its trace."""
         trace = self.broker.finish()
         return ShardResult(
             index=self.index,
             seed=self.seed,
-            trace=trace,
+            trace_sha256=hash_trace(trace),
+            n_records=len(trace.records),
             stats=self.stats,
             ledger=self.ledger,
             accounts=self.accounts,

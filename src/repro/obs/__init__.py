@@ -5,7 +5,7 @@ Observability here is an *observer* in exactly the sense
 can see, never what happens. Telemetry draws no simulation randomness
 (span sampling runs off its own ``substream_seed`` substream), mutates
 no scheduler or broker state, and lands its output in
-``trace.metadata["obs"]`` — which :func:`~repro.analysis.determinism.hash_trace`
+``trace.metadata["obs"]`` — which :func:`~repro.sim.tracing.hash_trace`
 deliberately does not hash — so every ``repro check`` digest is
 bit-identical with telemetry on or off. The ``repro check`` obs parity
 rows pin that contract.

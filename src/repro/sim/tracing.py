@@ -11,14 +11,15 @@ evaluation cleanly separated.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ..common import Placement
 
-__all__ = ["Placement", "JobRecord", "RunTrace"]
+__all__ = ["Placement", "JobRecord", "RunTrace", "canonical_records", "hash_trace"]
 
 
 @dataclass
@@ -210,19 +211,47 @@ class RunTrace:
                 writer.writerow(asdict(rec))
 
 
-def merge_traces(traces: Iterable[RunTrace]) -> RunTrace:
-    """Concatenate traces of independent runs (ids are re-numbered)."""
-    merged = RunTrace()
-    offset = 0
-    for trace in traces:
-        for rec in trace.records:
-            clone = JobRecord(**asdict(rec))
-            clone.job_id += offset
-            merged.records.append(clone)
-        offset += len(trace.records)
-        merged.ic_busy_time += trace.ic_busy_time
-        merged.ec_busy_time += trace.ec_busy_time
-        merged.end_time = max(merged.end_time, trace.end_time)
-        merged.ic_machines = max(merged.ic_machines, trace.ic_machines)
-        merged.ec_machines = max(merged.ec_machines, trace.ec_machines)
-    return merged
+#: JobRecord fields in declaration order — the canonical hashing schema.
+_RECORD_FIELDS = tuple(f.name for f in fields(JobRecord))
+
+#: Run-level fields folded into the hash after the per-record stream.
+_TRACE_FIELDS = ("arrival_time", "end_time", "ic_busy_time", "ec_busy_time")
+
+
+def _canon(value: object) -> str:
+    """A bit-exact textual form: floats hash by their IEEE-754 bits."""
+    if isinstance(value, bool):  # bool before int/float — bool is an int
+        return "T" if value else "F"
+    if isinstance(value, float):
+        return value.hex()
+    return repr(value)
+
+
+def canonical_records(trace: RunTrace) -> Iterator[tuple[str, ...]]:
+    """Every record as a tuple of canonicalised field values, in trace
+    order, one at a time: the trace is never held twice."""
+    for record in trace.records:
+        yield tuple(_canon(getattr(record, name)) for name in _RECORD_FIELDS)
+
+
+def hash_trace(trace: RunTrace) -> str:
+    """SHA-256 over every lifecycle timestamp and run-level accumulator.
+
+    Two traces hash equal iff every job record field (including float
+    timestamps, compared at full bit precision), the run-level arrival,
+    end and busy times, and the bandwidth samples agree — a divergent
+    probe sequence is a determinism bug even if job timestamps happen to
+    coincide. ``metadata`` is not hashed: observers (telemetry, econ,
+    policy) write their reports there without moving the digest.
+    """
+    digest = hashlib.sha256()
+    for row in canonical_records(trace):
+        digest.update("\x1f".join(row).encode())
+        digest.update(b"\x1e")
+    for name in _TRACE_FIELDS:
+        digest.update(f"{name}={_canon(getattr(trace, name))}".encode())
+        digest.update(b"\x1e")
+    for t, mbps in trace.bandwidth_samples:
+        digest.update(f"{_canon(t)},{_canon(mbps)}".encode())
+        digest.update(b"\x1e")
+    return digest.hexdigest()

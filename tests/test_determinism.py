@@ -9,6 +9,7 @@ Every row of the ``repro check`` table runs here at a small size.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,9 @@ import repro.analysis.determinism as determinism
 from repro.analysis.determinism import (
     CHECKS,
     Cell,
+    CellRun,
     Double,
+    Same,
     check_table,
     first_divergence,
     hash_trace,
@@ -207,6 +210,21 @@ class TestCheckTable:
         assert "FAIL" in rendered
         assert "first divergence at record #" in rendered
         assert "'completion_time'" in rendered
+
+    def test_fleet_mismatch_names_the_first_differing_shard(self):
+        fleet = Cell(executor="inprocess", shards=3)
+        observed = replace(fleet, obs=True)
+        runs = {
+            fleet: CellRun(None, {"fleet": "1" * 64}, {}, ("a" * 64, "b" * 64, "c" * 64)),
+            observed: CellRun(None, {"fleet": "2" * 64}, {}, ("a" * 64, "e" * 64, "f" * 64)),
+        }
+        result = Same(fleet, observed, ("fleet",)).verify(lambda cell: runs[cell])
+        assert not result.ok
+        assert result.divergence is None
+        assert result.detail == (
+            f"fleet {'1' * 16} vs {'2' * 16}; first divergence at "
+            f"shard[1]: run A = {'b' * 16} vs run B = {'e' * 16}"
+        )
 
     def test_check_exits_one_on_divergence(self, monkeypatch, capsys):
         nudge_second_run(monkeypatch)

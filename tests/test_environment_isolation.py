@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.determinism import hash_trace
 from repro.fleet import FleetConfig, TenantSpec
 from repro.fleet.sharding import BrokerShard
 from repro.sim.environment import CloudBurstEnvironment, RunPlugin, SystemConfig
@@ -67,7 +66,7 @@ class TestInterleavedShardsStayIndependent:
 
         solo = BrokerShard(0, config, tenants)
         self.drive(solo, 6)
-        solo_hash = hash_trace(solo.finish().trace)
+        solo_hash = solo.finish().trace_sha256
 
         subject = BrokerShard(0, config, tenants)
         noisy_neighbor = BrokerShard(
@@ -77,7 +76,7 @@ class TestInterleavedShardsStayIndependent:
             self.drive(subject, 1)
             self.drive(noisy_neighbor, 2)
         noisy_neighbor.finish()
-        assert hash_trace(subject.finish().trace) == solo_hash
+        assert subject.finish().trace_sha256 == solo_hash
 
 
 class TestCheapReinstantiation:

@@ -173,7 +173,7 @@ class TestWorkerLoss:
         # surviving shard's books still made it in.
         assert report.shard_hashes[0] == f"LOST({cause})"
         assert not report.shard_hashes[1].startswith("LOST")
-        assert report.trace.metadata["fleet"]["lost_shards"] == {"0": cause}
+        assert report.as_dict()["lost_shards"] == {"0": cause}
         assert "LOST shard 0" in report.render()
 
     def test_same_loss_reproduces_the_same_digest(self):
@@ -285,7 +285,11 @@ class TestWorkerLoss:
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         parent = subprocess.Popen(
-            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
         )
         try:
             # The pid line comes after the fleet boots; never wait forever.
@@ -296,7 +300,6 @@ class TestWorkerLoss:
         finally:
             parent.kill()
             parent.wait()
-            parent.stdout.close()
         assert len(pids) == 2
 
         def running(pid: int) -> bool:
@@ -314,6 +317,10 @@ class TestWorkerLoss:
         for pid in left:
             os.kill(pid, signal.SIGKILL)
         assert left == []
+        # The resource tracker outlives the killed parent and reports,
+        # on the stderr it inherited, any named semaphore left behind.
+        _, stderr = parent.communicate(timeout=30)
+        assert "leaked semaphore" not in stderr
 
     def test_abandoned_reply_is_skipped(self):
         # A signal that interrupts the wait for a reply (SIGTERM to

@@ -302,24 +302,3 @@ class TestTracing:
         recs = [record(1, 10.0), record(2, 20.0, placement=Placement.EC)]
         trace = make_trace(recs)
         assert len(trace.by_placement(Placement.EC)) == 1
-
-
-class TestMergeTraces:
-    def test_merge_renumbers_and_accumulates(self):
-        from repro.sim.tracing import merge_traces
-
-        t1 = make_trace([record(1, 10.0), record(2, 20.0)], ic_busy=30.0, ic_m=4)
-        t2 = make_trace([record(1, 15.0)], ic_busy=15.0, ic_m=2, ec_busy=5.0)
-        merged = merge_traces([t1, t2])
-        assert len(merged.records) == 3
-        ids = sorted(r.job_id for r in merged.records)
-        assert ids == [1, 2, 3]  # second trace's job renumbered past the first
-        assert merged.ic_busy_time == pytest.approx(45.0)
-        assert merged.ec_busy_time == pytest.approx(5.0)
-        assert merged.ic_machines == 4  # max of the pools
-
-    def test_merge_empty(self):
-        from repro.sim.tracing import merge_traces
-
-        merged = merge_traces([])
-        assert len(merged.records) == 0
