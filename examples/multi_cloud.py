@@ -58,7 +58,7 @@ def main() -> None:
 
     # Where did the bursted jobs go?
     sites = Counter(
-        "primary" if st.site == 0 else env2.extra_site_runtimes[st.site - 1].spec.name
+        env2.sites[st.site].spec.name
         for st in env2._states.values()
         if st.record.placement == "EC"
     )

@@ -117,11 +117,7 @@ class EnvironmentInvariants(RunPlugin):
             pipeline.on_transfer_start = self._on_transfer_start
 
     def _pipelines(self) -> list["TransferPipeline"]:
-        env = self.env
-        pipelines = [env.upload, env.download]
-        for runtime in env.extra_site_runtimes:
-            pipelines.extend([runtime.upload, runtime.download])
-        return pipelines
+        return [p for site in self.env.sites for p in (site.upload, site.download)]
 
     # ------------------------------------------------------------------
     # Engine: event-time monotonicity + FIFO tie-break order

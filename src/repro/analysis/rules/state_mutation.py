@@ -3,8 +3,8 @@
 :class:`repro.core.base.SystemState` is both a snapshot and an in-batch
 planning ledger: as a scheduler assigns jobs it *commits* each decision so
 later jobs in the batch see the load earlier ones will create. The commit
-methods (``commit_ic``, ``commit_ec``, ``commit_ec_site``) keep the
-coupled fields consistent — machine free times, link backlogs and the
+methods (``commit_ic``, and ``commit_ec`` for any of ``state.sites``)
+keep the coupled fields consistent — machine free times, link backlogs and the
 pending-completion pool move together. A scheduler that pokes
 ``state.ic_free[0] = t`` or ``state.upload_backlog_mb += mb`` directly
 bypasses that coupling and silently skews every later decision in the
@@ -191,8 +191,8 @@ class StateMutationRule(LintRule):
         "pending-completion pool; only its commit methods keep them consistent"
     )
     hint = (
-        "route the update through SystemState.commit_ic / commit_ec / "
-        "commit_ec_site (add a commit method if the planning pattern is new)"
+        "route the update through SystemState.commit_ic / commit_ec "
+        "(add a commit method if the planning pattern is new)"
     )
     scope = ("repro",)
 

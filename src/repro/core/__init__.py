@@ -7,12 +7,7 @@ from .chunking import ChunkPolicy, chunk_batch, pdfchunk, window_sigma
 from .estimators import EcEstimate, FinishTimeEstimator
 from .greedy import GreedyScheduler
 from .ic_only import ICOnlyScheduler
-from .multi_ec import (
-    MultiECGreedyScheduler,
-    MultiECOrderPreservingScheduler,
-    SiteView,
-    site_views,
-)
+from .multi_ec import MultiECGreedyScheduler, MultiECOrderPreservingScheduler
 from .order_preserving import OrderPreservingScheduler
 from .rescheduling import PullCandidate, pick_ec_push, pick_ic_pull
 from .slack import SlackLedger, slack_time
@@ -21,7 +16,6 @@ from .ticket_aware import TicketAwareScheduler, TicketQuote
 __all__ = [
     "Scheduler", "SystemState", "ECSiteState", "BatchPlan", "Decision",
     "MultiECGreedyScheduler", "MultiECOrderPreservingScheduler",
-    "SiteView", "site_views",
     "ICOnlyScheduler", "GreedyScheduler", "OrderPreservingScheduler",
     "SizeIntervalSplittingScheduler", "compute_size_bounds",
     "FinishTimeEstimator", "EcEstimate",

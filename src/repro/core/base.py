@@ -17,22 +17,48 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Union
 
 from ..workload.document import Job
 from ..common import Placement
 
-__all__ = ["SystemState", "ECSiteState", "Decision", "BatchPlan", "Scheduler"]
+__all__ = ["SystemState", "ECSiteState", "Site", "Decision", "BatchPlan", "Scheduler"]
+
+
+class _SiteRates:
+    """Effective transfer rates of an EC site (the primary or an extra one).
+
+    Mixed into :class:`SystemState` and :class:`ECSiteState`, which both
+    carry the site fields these read.
+    """
+
+    up_threads: int
+    down_threads: int
+    per_thread_mbps: float
+    upload_parallelism: int
+    est_up_mbps: float
+    est_down_mbps: float
+
+    @property
+    def up_rate(self) -> float:
+        """Estimated aggregate upload drain rate (MB/s)."""
+        cap = self.up_threads * self.per_thread_mbps * max(1, self.upload_parallelism)
+        return max(1e-6, min(cap, self.est_up_mbps))
+
+    @property
+    def down_rate(self) -> float:
+        return max(1e-6, min(self.down_threads * self.per_thread_mbps, self.est_down_mbps))
 
 
 @dataclass
-class ECSiteState:
+class ECSiteState(_SiteRates):
     """Estimated snapshot of one *additional* external cloud site.
 
     The primary EC's state lives in :class:`SystemState`'s flat fields;
     multi-cloud deployments (the paper's "where" question — "one could
     possibly choose from a pool of Cloud Providers at run-time") carry one
     of these per extra site in ``SystemState.extra_sites``.
+    :attr:`SystemState.sites` lists every site, primary first.
     """
 
     name: str
@@ -47,16 +73,6 @@ class ECSiteState:
     per_thread_mbps: float = 0.5
     upload_parallelism: int = 1
 
-    @property
-    def up_rate(self) -> float:
-        cap = self.up_threads * self.per_thread_mbps * max(1, self.upload_parallelism)
-        return max(1e-6, min(cap, self.est_up_mbps))
-
-    @property
-    def down_rate(self) -> float:
-        cap = self.down_threads * self.per_thread_mbps
-        return max(1e-6, min(cap, self.est_down_mbps))
-
     def clone(self) -> "ECSiteState":
         return replace(self, ec_free=list(self.ec_free))
 
@@ -65,8 +81,8 @@ class ECSiteState:
 class Decision:
     """One placement decision: the paper's decision variable ``d_i``.
 
-    ``ec_site`` selects which external cloud receives a bursted job (0 is
-    the primary site; indices >= 1 address ``SystemState.extra_sites``).
+    ``ec_site`` selects which external cloud receives a bursted job: an
+    index into ``SystemState.sites`` (0 is the primary site).
     """
 
     job: Job
@@ -105,7 +121,7 @@ class BatchPlan:
 
 
 @dataclass
-class SystemState:
+class SystemState(_SiteRates):
     """Estimated system snapshot + in-batch planning ledger.
 
     Attributes
@@ -172,18 +188,10 @@ class SystemState:
             extra_sites=[s.clone() for s in self.extra_sites],
         )
 
-    # ------------------------------------------------------------------
-    # Effective transfer rates
-    # ------------------------------------------------------------------
     @property
-    def up_rate(self) -> float:
-        """Estimated aggregate upload drain rate (MB/s)."""
-        cap = self.up_threads * self.per_thread_mbps * max(1, self.upload_parallelism)
-        return max(1e-6, min(cap, self.est_up_mbps))
-
-    @property
-    def down_rate(self) -> float:
-        return max(1e-6, min(self.down_threads * self.per_thread_mbps, self.est_down_mbps))
+    def sites(self) -> list[Site]:
+        """Every EC site, primary (this state's flat fields) first."""
+        return [self, *self.extra_sites]
 
     # ------------------------------------------------------------------
     # Planning commits
@@ -194,30 +202,33 @@ class SystemState:
         self.ic_free[idx] = finish_time
         self.pending_completions.append(finish_time)
 
-    def commit_ec(self, job: Job, ec_exec_end: float, completion: float) -> None:
-        """Record an EC assignment: link backlog and EC machine load grow."""
-        self.upload_backlog_mb += job.input_mb
-        self.download_backlog_mb += job.output_mb
-        idx = min(range(len(self.ec_free)), key=self.ec_free.__getitem__)
-        self.ec_free[idx] = ec_exec_end
-        self.pending_completions.append(completion)
-
-    def commit_ec_site(
-        self, site: ECSiteState, job: Job, ec_exec_end: float, completion: float
+    def commit_ec(
+        self,
+        job: Job,
+        ec_exec_end: float,
+        completion: float,
+        site: Optional[Site] = None,
     ) -> None:
-        """Record an EC assignment on an *extra* site (multi-cloud bursting).
+        """Record an EC assignment: link backlog and EC machine load grow.
 
-        The mirror of :meth:`commit_ec` for a site in :attr:`extra_sites`:
-        that site's backlog and machine load grow, while the completion
-        joins this state's shared pending pool (slack is queue-global no
-        matter where the job bursts).
+        ``site`` is one of :attr:`sites` (default: the primary). Its
+        backlogs and machine load grow, while the completion joins this
+        state's shared pending pool (slack is queue-global no matter
+        where the job bursts).
         """
-        site.upload_backlog_mb += job.input_mb
-        site.download_backlog_mb += job.output_mb
-        if site.ec_free:
-            idx = min(range(len(site.ec_free)), key=site.ec_free.__getitem__)
-            site.ec_free[idx] = ec_exec_end
+        s = self if site is None else site
+        s.upload_backlog_mb += job.input_mb
+        s.download_backlog_mb += job.output_mb
+        ec_free = s.ec_free
+        if ec_free:
+            idx = min(range(len(ec_free)), key=ec_free.__getitem__)
+            ec_free[idx] = ec_exec_end
         self.pending_completions.append(completion)
+
+
+#: One EC site as planning code sees it: the primary is the
+#: :class:`SystemState` itself, every extra site an :class:`ECSiteState`.
+Site = Union[SystemState, ECSiteState]
 
 
 class Scheduler(abc.ABC):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..models.qrsm import QuadraticResponseSurface
 from ..workload.document import Job
-from .base import SystemState
+from .base import Site, SystemState
 
 __all__ = ["FinishTimeEstimator", "EcEstimate"]
 
@@ -65,20 +65,29 @@ class FinishTimeEstimator:
         start = max(state.now, min(state.ic_free))
         return start + est_proc / state.ic_speed
 
-    def ft_ec(self, job: Job, state: SystemState, est_proc: float | None = None) -> EcEstimate:
+    def ft_ec(
+        self,
+        job: Job,
+        state: SystemState,
+        est_proc: float | None = None,
+        site: Site | None = None,
+    ) -> EcEstimate:
         """Estimated completion of the full EC round trip under current load.
 
         Upload is serialised behind the current upload backlog at the
         estimated effective rate (Eq. 2's ``s_i / l(t_i)``); execution
         waits for an EC machine; the result download queues behind the
-        download backlog (``o_i / l(t_i + t')``).
+        download backlog (``o_i / l(t_i + t')``). ``site`` is one of
+        ``state.sites`` (default: the primary); its links, backlogs and
+        pool are read, ``state.now`` is the decision instant.
         """
         if est_proc is None:
             est_proc = self.est_proc_time(job)
-        upload_end = state.now + (state.upload_backlog_mb + job.input_mb) / state.up_rate
-        exec_start = max(upload_end, min(state.ec_free))
-        exec_end = exec_start + est_proc / state.ec_speed
-        completion = exec_end + (state.download_backlog_mb + job.output_mb) / state.down_rate
+        s = state if site is None else site
+        upload_end = state.now + (s.upload_backlog_mb + job.input_mb) / s.up_rate
+        exec_start = max(upload_end, min(s.ec_free, default=upload_end))
+        exec_end = exec_start + est_proc / s.ec_speed
+        completion = exec_end + (s.download_backlog_mb + job.output_mb) / s.down_rate
         return EcEstimate(
             upload_end=upload_end,
             exec_start=exec_start,

@@ -5,11 +5,12 @@ when (a scheduler decision under resource variation), where (to which
 cloud) and how much (the quantum of work) to burst out" — and the
 introduction anticipates that "one could possibly choose from a pool of
 Cloud Providers at run-time". The paper evaluates a single static EC; this
-module implements the "where" extension on top of the same machinery:
+module implements the "where" extension on top of the same machinery.
+Every site is one entry of ``state.sites`` (the primary first, then each
+extra site); ``ft_ec(..., site=...)`` estimates a round trip through it
+and ``state.commit_ec(..., site=...)`` books a placement on it, so a
+site's index in that list is the decision's ``ec_site``:
 
-* :class:`SiteView` — a uniform interface over the primary EC (whose state
-  lives in :class:`SystemState`'s flat fields) and each extra site
-  (:class:`ECSiteState`), including planning commits;
 * :class:`MultiECGreedyScheduler` — Algorithm 1 generalised: place each
   job where it finishes earliest among IC and *every* EC site;
 * :class:`MultiECOrderPreservingScheduler` — Algorithm 2 generalised:
@@ -23,102 +24,29 @@ from typing import Optional
 
 from ..common import Placement
 from ..workload.document import Job
-from .base import BatchPlan, Decision, ECSiteState, Scheduler, SystemState
+from .base import BatchPlan, Decision, Scheduler, Site, SystemState
 from .estimators import EcEstimate, FinishTimeEstimator
 from .slack import SlackLedger
 
-__all__ = [
-    "SiteView",
-    "site_views",
-    "MultiECGreedyScheduler",
-    "MultiECOrderPreservingScheduler",
-]
-
-
-class SiteView:
-    """Uniform read/commit interface over one external cloud site."""
-
-    def __init__(self, state: SystemState, index: int) -> None:
-        if index < 0 or index > len(state.extra_sites):
-            raise IndexError(f"no EC site with index {index}")
-        self._state = state
-        self.index = index
-        self._extra: Optional[ECSiteState] = (
-            None if index == 0 else state.extra_sites[index - 1]
-        )
-
-    # -- reads ----------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return "ec0" if self._extra is None else self._extra.name
-
-    @property
-    def ec_free(self) -> list[float]:
-        return self._state.ec_free if self._extra is None else self._extra.ec_free
-
-    @property
-    def ec_speed(self) -> float:
-        return self._state.ec_speed if self._extra is None else self._extra.ec_speed
-
-    @property
-    def upload_backlog_mb(self) -> float:
-        if self._extra is None:
-            return self._state.upload_backlog_mb
-        return self._extra.upload_backlog_mb
-
-    @property
-    def download_backlog_mb(self) -> float:
-        if self._extra is None:
-            return self._state.download_backlog_mb
-        return self._extra.download_backlog_mb
-
-    @property
-    def up_rate(self) -> float:
-        return self._state.up_rate if self._extra is None else self._extra.up_rate
-
-    @property
-    def down_rate(self) -> float:
-        return self._state.down_rate if self._extra is None else self._extra.down_rate
-
-    # -- estimation & planning -------------------------------------------
-    def ft_ec(self, job: Job, est_proc: float) -> EcEstimate:
-        """Round-trip finish estimate through *this* site (cf. Eq. 2)."""
-        now = self._state.now
-        upload_end = now + (self.upload_backlog_mb + job.input_mb) / self.up_rate
-        exec_start = max(upload_end, min(self.ec_free)) if self.ec_free else upload_end
-        exec_end = exec_start + est_proc / self.ec_speed
-        completion = exec_end + (self.download_backlog_mb + job.output_mb) / self.down_rate
-        return EcEstimate(
-            upload_end=upload_end, exec_start=exec_start,
-            exec_end=exec_end, completion=completion,
-        )
-
-    def commit(self, job: Job, ec_exec_end: float, completion: float) -> None:
-        """Fold a planned placement into this site's state."""
-        if self._extra is None:
-            self._state.commit_ec(job, ec_exec_end, completion)
-        else:
-            self._state.commit_ec_site(self._extra, job, ec_exec_end, completion)
-
-
-def site_views(state: SystemState) -> list[SiteView]:
-    """All EC sites of a state, primary first."""
-    return [SiteView(state, i) for i in range(len(state.extra_sites) + 1)]
+__all__ = ["MultiECGreedyScheduler", "MultiECOrderPreservingScheduler"]
 
 
 @dataclass
 class _BestEc:
-    view: SiteView
+    index: int
+    site: Site
     estimate: EcEstimate
 
 
-def _best_site(job: Job, est_proc: float, state: SystemState) -> _BestEc:
+def _best_site(
+    job: Job, est_proc: float, state: SystemState, estimator: FinishTimeEstimator
+) -> _BestEc:
     """Earliest-completing EC site for ``job`` under current plans."""
     best: Optional[_BestEc] = None
-    for view in site_views(state):
-        est = view.ft_ec(job, est_proc)
+    for index, site in enumerate(state.sites):
+        est = estimator.ft_ec(job, state, est_proc, site=site)
         if best is None or est.completion < best.estimate.completion:
-            best = _BestEc(view=view, estimate=est)
+            best = _BestEc(index=index, site=site, estimate=est)
     assert best is not None
     return best
 
@@ -136,15 +64,16 @@ class MultiECGreedyScheduler(Scheduler):
         for job in jobs:
             est_proc = self.estimator.est_proc_time(job)
             t_ic = self.estimator.ft_ic(job, state, est_proc)
-            best = _best_site(job, est_proc, state)
+            best = _best_site(job, est_proc, state, self.estimator)
             if t_ic <= best.estimate.completion:
                 state.commit_ic(t_ic)
                 plan.decisions.append(Decision(job, Placement.IC, est_proc, t_ic))
             else:
-                best.view.commit(job, best.estimate.exec_end, best.estimate.completion)
+                state.commit_ec(job, best.estimate.exec_end, best.estimate.completion,
+                                site=best.site)
                 plan.decisions.append(
                     Decision(job, Placement.EC, est_proc,
-                             best.estimate.completion, ec_site=best.view.index)
+                             best.estimate.completion, ec_site=best.index)
                 )
         return plan
 
@@ -168,13 +97,14 @@ class MultiECOrderPreservingScheduler(Scheduler):
         plan = BatchPlan()
         for job in jobs:
             est_proc = self.estimator.est_proc_time(job)
-            best = _best_site(job, est_proc, state)
+            best = _best_site(job, est_proc, state, self.estimator)
             if ledger.can_burst(best.estimate.completion, margin=self.slack_margin):
-                best.view.commit(job, best.estimate.exec_end, best.estimate.completion)
+                state.commit_ec(job, best.estimate.exec_end, best.estimate.completion,
+                                site=best.site)
                 ledger.add(best.estimate.completion)
                 plan.decisions.append(
                     Decision(job, Placement.EC, est_proc,
-                             best.estimate.completion, ec_site=best.view.index)
+                             best.estimate.completion, ec_site=best.index)
                 )
             else:
                 t_ic = self.estimator.ft_ic(job, state, est_proc)

@@ -36,8 +36,9 @@ SCHEDULER_FACTORIES: dict[str, Callable[[CloudBurstEnvironment], Scheduler]] = {
     "Greedy": lambda env: GreedyScheduler(env.estimator),
     "Op": lambda env: OrderPreservingScheduler(env.estimator),
     "OpSIBS": lambda env: SizeIntervalSplittingScheduler(env.estimator),
-    # Multi-cloud variants: identical to Greedy/Op on a single-site
-    # environment; they spread bursts when extra_ec_sites are configured.
+    # Multi-cloud variants: on a single-site environment MultiGreedy's trace
+    # equals Greedy's and MultiOp's equals Op's without chunking (MultiOp
+    # never chunks); they spread bursts when extra_ec_sites are configured.
     "MultiGreedy": lambda env: MultiECGreedyScheduler(env.estimator),
     "MultiOp": lambda env: MultiECOrderPreservingScheduler(env.estimator),
     # Ticket-aware variant: Op plus a per-job promise guard on bursting.

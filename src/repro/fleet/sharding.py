@@ -98,7 +98,6 @@ class FleetConfig:
     penalty: PenaltySchedule = field(default_factory=PenaltySchedule)
     on_demand: OnDemandPrice = field(default_factory=OnDemandPrice)
     bucket: Bucket = Bucket.UNIFORM
-    pretrain: bool = True
     pretrain_jobs: int = 400
     executor: str = "inprocess"
     command_timeout_s: float = 30.0
@@ -222,14 +221,11 @@ class BrokerShard(RunPlugin):
             if config.scaling is not None
             else None
         )
-        if config.pretrain:
-            trainer = WorkloadGenerator(
-                bucket=config.bucket,
-                seed=substream_seed(config.seed, "shard", index, "pretrain"),
-            )
-            self.env.pretrain_qrsm(
-                *trainer.sample_training_set(config.pretrain_jobs)
-            )
+        trainer = WorkloadGenerator(
+            bucket=config.bucket,
+            seed=substream_seed(config.seed, "shard", index, "pretrain"),
+        )
+        self.env.pretrain_qrsm(*trainer.sample_training_set(config.pretrain_jobs))
         scheduler = make_scheduler(config.scheduler, self.env)
         self.stats = StreamingSLAStats(
             reservoir_seed=substream_seed(config.seed, "shard", index, "stats")

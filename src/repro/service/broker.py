@@ -85,7 +85,6 @@ class BurstBroker(RunPlugin):
         self.stats = stats if stats is not None else StreamingSLAStats()
         self._session = env.session(scheduler)
         self._finished = False
-        self._last_arrival = -float("inf")
 
     # ------------------------------------------------------------------
     @property
@@ -120,15 +119,7 @@ class BurstBroker(RunPlugin):
         if policy is None:
             policy = self.policy
         jobs = list(jobs)
-        if arrival_time is not None:
-            t = self.env.origin + arrival_time
-            if t < self.now - 1e-12:
-                raise ValueError(
-                    f"submission at t={t} behind the virtual clock ({self.now})"
-                )
-            if t > self.now:
-                self.env.sim.run_until(t)
-        self._last_arrival = self.now
+        self._session.arrive_at(arrival_time)
 
         state = self.env.build_state()
         obs = self.env.plugin(ObsRuntime)

@@ -240,7 +240,6 @@ def run_load(
     scheduler: Scheduler,
     policy: SLAPolicy,
     config: LoadGenConfig,
-    pretrain: bool = True,
 ) -> LoadGenResult:
     """Drive one open-loop load run through a fresh broker session.
 
@@ -253,8 +252,7 @@ def run_load(
     real service performs, so it is kept off the clock.
     """
     gen = WorkloadGenerator(bucket=config.bucket, seed=config.seed)
-    if pretrain:
-        env.pretrain_qrsm(*gen.sample_training_set(400))
+    env.pretrain_qrsm(*gen.sample_training_set(400))
     stats = StreamingSLAStats(reservoir_seed=config.seed)
     broker = BurstBroker(env, scheduler, policy=policy, stats=stats)
     result = LoadGenResult(

@@ -17,7 +17,7 @@ The environment is the only component that knows the *ground truth*
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import ClassVar, Optional, Sequence, TypeVar
+from typing import Any, ClassVar, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,11 +43,12 @@ P = TypeVar("P", bound="RunPlugin")
 
 @dataclass(frozen=True, kw_only=True)
 class ECSiteSpec:
-    """An *additional* external cloud site (multi-cloud bursting).
+    """One external cloud site (multi-cloud bursting).
 
-    Each extra site gets its own machine pool and its own pair of
-    fluid links with independent diurnal profiles — a second provider
-    reached over a different path. Keyword-only: every field names its
+    Every site gets its own machine pool and its own pair of fluid links
+    with independent diurnal profiles — each extra site is another
+    provider reached over a different path. The primary site's spec is
+    derived from :class:`SystemConfig`. Keyword-only: every field names its
     unit (or is dimensionless by convention), and call sites stay
     readable as the config grows.
     """
@@ -119,12 +120,6 @@ class SystemConfig:
         if not 0 <= self.start_hour < 24:
             raise ValueError("start_hour must lie in [0, 24)")
 
-    def up_profile(self) -> DiurnalBandwidthProfile:
-        return DiurnalBandwidthProfile(base_mbps=self.up_base_mbps)
-
-    def down_profile(self) -> DiurnalBandwidthProfile:
-        return DiurnalBandwidthProfile(base_mbps=self.down_base_mbps)
-
     def with_seed(self, seed: int) -> "SystemConfig":
         """This config with a different master seed (shard derivation).
 
@@ -149,21 +144,31 @@ class _JobState:
     est_proc: float
     est_completion: float
     done: bool = False
-    site: int = 0  # which EC site the job was bursted to (0 = primary)
+    site: int = 0  # index into ``env.sites`` of the job's EC site (0 = primary)
 
 
 @dataclass
-class _SiteRuntime:
-    """Runtime bundle for one extra external cloud site."""
+class _Site:
+    """The runtime stack of one external cloud site.
 
-    spec: "ECSiteSpec"
-    cluster: Cluster
-    upload: TransferPipeline
-    download: TransferPipeline
+    Its own capacity processes, fluid links, learned bandwidth and thread
+    models, transfer pipelines, probes and machine pool.
+    """
+
+    spec: ECSiteSpec
+    up_capacity: CapacityProcess
+    down_capacity: CapacityProcess
+    uplink: FluidLink
+    downlink: FluidLink
     up_estimator: TimeOfDayBandwidthEstimator
     down_estimator: TimeOfDayBandwidthEstimator
     up_tuner: ThreadTuner
     down_tuner: ThreadTuner
+    upload: TransferPipeline
+    download: TransferPipeline
+    up_probe: ProbeService
+    down_probe: ProbeService
+    cluster: Cluster
 
 
 class RunPlugin:
@@ -224,70 +229,37 @@ class CloudBurstEnvironment:
         self.sim = Simulator(start_time=config.start_hour * 3600.0)
         self.rng = np.random.default_rng(config.seed)
 
-        # --- network -----------------------------------------------------
-        up_rng = np.random.default_rng(self.rng.integers(2**63))
-        down_rng = np.random.default_rng(self.rng.integers(2**63))
-        self.up_capacity = CapacityProcess(
-            self.sim, config.up_profile(), up_rng,
-            variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
+        # --- external clouds: the primary, then each extra site ------------
+        # Every site draws its two link seeds and schedules its capacity
+        # ticks and probes in this order, primary first.
+        primary = ECSiteSpec(
+            name="primary", machines=config.ec_machines, speed=config.ec_speed,
+            up_base_mbps=config.up_base_mbps, down_base_mbps=config.down_base_mbps,
         )
-        self.down_capacity = CapacityProcess(
-            self.sim, config.down_profile(), down_rng,
-            variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
-        )
-        self.uplink = FluidLink(
-            self.sim, self.up_capacity, config.per_thread_mbps, name="uplink"
-        )
-        self.downlink = FluidLink(
-            self.sim, self.down_capacity, config.per_thread_mbps, name="downlink"
-        )
+        self.sites: list[_Site] = [
+            self._build_site(index, spec)
+            for index, spec in enumerate((primary, *config.extra_ec_sites))
+        ]
+        # The primary site's components under their established names.
+        site = self.sites[0]
+        self.up_capacity, self.down_capacity = site.up_capacity, site.down_capacity
+        self.uplink, self.downlink = site.uplink, site.downlink
+        self.up_estimator, self.down_estimator = site.up_estimator, site.down_estimator
+        self.up_tuner, self.down_tuner = site.up_tuner, site.down_tuner
+        self.upload, self.download = site.upload, site.download
+        self.up_probe, self.down_probe = site.up_probe, site.down_probe
+        self.ec = site.cluster
 
-        # --- learned models ----------------------------------------------
-        self.up_estimator = TimeOfDayBandwidthEstimator(
-            alpha=config.ewma_alpha, prior_mbps=config.up_base_mbps * 0.8
-        )
-        self.down_estimator = TimeOfDayBandwidthEstimator(
-            alpha=config.ewma_alpha, prior_mbps=config.down_base_mbps * 0.8
-        )
-        self.up_tuner = ThreadTuner(
-            initial_threads=config.initial_threads, max_threads=config.max_threads
-        )
-        self.down_tuner = ThreadTuner(
-            initial_threads=config.initial_threads, max_threads=config.max_threads
-        )
+        # --- internal cloud and processing-time model -----------------------
         self.qrsm = QuadraticResponseSurface()
         self.estimator = FinishTimeEstimator(self.qrsm)
-
-        # --- pipelines & probes -------------------------------------------
-        self.upload = TransferPipeline(
-            self.sim, self.uplink, self.up_tuner, self.up_estimator, name="upload"
-        )
-        self.download = TransferPipeline(
-            self.sim, self.downlink, self.down_tuner, self.down_estimator, name="download"
-        )
-        self.up_probe = ProbeService(
-            self.sim, self.uplink, self.up_estimator,
-            interval_s=config.probe_interval_s, tuner=self.up_tuner,
-        )
-        self.down_probe = ProbeService(
-            self.sim, self.downlink, self.down_estimator,
-            interval_s=config.probe_interval_s, tuner=self.down_tuner,
-        )
-
-        # --- compute ------------------------------------------------------
         self.ic = Cluster(
             self.sim, "ic", config.ic_machines, config.ic_speed,
             speeds=config.ic_machine_speeds or None,
         )
-        self.ec = Cluster(self.sim, "ec", config.ec_machines, config.ec_speed)
         #: Planning speed the schedulers see for the IC (mean over a
         #: heterogeneous pool).
         self._ic_plan_speed = self.ic.mean_speed
-
-        # --- additional external clouds (multi-cloud bursting) -------------
-        self.extra_site_runtimes: list[_SiteRuntime] = [
-            self._build_extra_site(spec) for spec in config.extra_ec_sites
-        ]
 
         # --- run bookkeeping ----------------------------------------------
         self._states: dict[tuple[int, int], _JobState] = {}
@@ -328,30 +300,33 @@ class CloudBurstEnvironment:
 
             install_invariants(self)
 
-    def _build_extra_site(self, spec: ECSiteSpec) -> _SiteRuntime:
-        """Stand up the full network+compute stack for one extra EC site."""
+    def _build_site(self, index: int, spec: ECSiteSpec) -> _Site:
+        """Stand up the full network+compute stack for the EC site ``index``.
+
+        The primary (index 0) names its components ``uplink``, ``upload``,
+        ``ec`` and so on; an extra site suffixes each with ``-<name>``.
+        """
         config = self.config
+        suffix = f"-{spec.name}" if index else ""
         up_rng = np.random.default_rng(self.rng.integers(2**63))
         down_rng = np.random.default_rng(self.rng.integers(2**63))
-        up_profile = DiurnalBandwidthProfile(
-            base_mbps=spec.up_base_mbps, peak_hour=spec.peak_hour
-        )
-        down_profile = DiurnalBandwidthProfile(
-            base_mbps=spec.down_base_mbps, peak_hour=spec.peak_hour
-        )
         up_capacity = CapacityProcess(
-            self.sim, up_profile, up_rng,
+            self.sim,
+            DiurnalBandwidthProfile(base_mbps=spec.up_base_mbps, peak_hour=spec.peak_hour),
+            up_rng,
             variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
         )
         down_capacity = CapacityProcess(
-            self.sim, down_profile, down_rng,
+            self.sim,
+            DiurnalBandwidthProfile(base_mbps=spec.down_base_mbps, peak_hour=spec.peak_hour),
+            down_rng,
             variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
         )
         uplink = FluidLink(
-            self.sim, up_capacity, config.per_thread_mbps, name=f"uplink-{spec.name}"
+            self.sim, up_capacity, config.per_thread_mbps, name=f"uplink{suffix}"
         )
         downlink = FluidLink(
-            self.sim, down_capacity, config.per_thread_mbps, name=f"downlink-{spec.name}"
+            self.sim, down_capacity, config.per_thread_mbps, name=f"downlink{suffix}"
         )
         up_estimator = TimeOfDayBandwidthEstimator(
             alpha=config.ewma_alpha, prior_mbps=spec.up_base_mbps * 0.8
@@ -365,31 +340,32 @@ class CloudBurstEnvironment:
         down_tuner = ThreadTuner(
             initial_threads=config.initial_threads, max_threads=config.max_threads
         )
-        upload = TransferPipeline(
-            self.sim, uplink, up_tuner, up_estimator, name=f"upload-{spec.name}"
+        return _Site(
+            spec=spec,
+            up_capacity=up_capacity,
+            down_capacity=down_capacity,
+            uplink=uplink,
+            downlink=downlink,
+            up_estimator=up_estimator,
+            down_estimator=down_estimator,
+            up_tuner=up_tuner,
+            down_tuner=down_tuner,
+            upload=TransferPipeline(
+                self.sim, uplink, up_tuner, up_estimator, name=f"upload{suffix}"
+            ),
+            download=TransferPipeline(
+                self.sim, downlink, down_tuner, down_estimator, name=f"download{suffix}"
+            ),
+            up_probe=ProbeService(
+                self.sim, uplink, up_estimator,
+                interval_s=config.probe_interval_s, tuner=up_tuner,
+            ),
+            down_probe=ProbeService(
+                self.sim, downlink, down_estimator,
+                interval_s=config.probe_interval_s, tuner=down_tuner,
+            ),
+            cluster=Cluster(self.sim, f"ec{suffix}", spec.machines, spec.speed),
         )
-        download = TransferPipeline(
-            self.sim, downlink, down_tuner, down_estimator, name=f"download-{spec.name}"
-        )
-        ProbeService(self.sim, uplink, up_estimator,
-                     interval_s=config.probe_interval_s, tuner=up_tuner)
-        ProbeService(self.sim, downlink, down_estimator,
-                     interval_s=config.probe_interval_s, tuner=down_tuner)
-        cluster = Cluster(self.sim, f"ec-{spec.name}", spec.machines, spec.speed)
-        return _SiteRuntime(
-            spec=spec, cluster=cluster, upload=upload, download=download,
-            up_estimator=up_estimator, down_estimator=down_estimator,
-            up_tuner=up_tuner, down_tuner=down_tuner,
-        )
-
-    def _site_cluster(self, site: int) -> Cluster:
-        return self.ec if site == 0 else self.extra_site_runtimes[site - 1].cluster
-
-    def _site_upload(self, site: int) -> TransferPipeline:
-        return self.upload if site == 0 else self.extra_site_runtimes[site - 1].upload
-
-    def _site_download(self, site: int) -> TransferPipeline:
-        return self.download if site == 0 else self.extra_site_runtimes[site - 1].download
 
     # ------------------------------------------------------------------
     # Model training
@@ -435,71 +411,53 @@ class CloudBurstEnvironment:
             st.est_completion = finish  # refresh the stale planning estimate
             pending_append((key, finish))
 
-        # EC machine availability, folding EC cluster queue the same way.
-        ec_speed = self.config.ec_speed
-        ec_free = [
-            machine_est_free(machine, ec_speed, now) for machine in self.ec.machines
-        ]
-        for job in self.ec.queued_items():
-            st = states[job.key]
-            free = min(ec_free)
-            idx = ec_free.index(free)
-            ec_free[idx] = (free if free > now else now) + st.est_proc / ec_speed
-
         # Every incomplete EC-side job contributes its (possibly stale)
         # planning-time completion estimate to the slack pool. ``_open_ec``
         # is the incrementally maintained EC subset of ``_open``.
         for key, st in self._open_ec.items():
             pending_append((key, st.est_completion))
 
-        extra_sites = [self._build_site_state(i + 1, now)
-                       for i in range(len(self.extra_site_runtimes))]
-
+        primary, *extra = self.sites
         return SystemState(
             now=now,
             ic_free=ic_free,
-            ec_free=ec_free,
-            ic_speed=self._ic_plan_speed,
-            ec_speed=self.config.ec_speed,
-            upload_backlog_mb=self.upload.backlog_mb,
-            download_backlog_mb=self.download.backlog_mb,
-            est_up_mbps=self.up_estimator.estimate(now),
-            est_down_mbps=self.down_estimator.estimate(now),
-            up_threads=self.up_tuner.threads_for(now),
-            down_threads=self.down_tuner.threads_for(now),
-            per_thread_mbps=self.config.per_thread_mbps,
-            upload_parallelism=len(self.upload.queues),
+            ic_speed=ic_plan_speed,
+            **self._site_snapshot(primary, now),
             pending_completions=[t for _, t in pending_keyed],
-            upload_queue_loads_mb=self.upload.queue_loads_mb(),
+            upload_queue_loads_mb=primary.upload.queue_loads_mb(),
             pending_keyed=pending_keyed,
-            extra_sites=extra_sites,
+            extra_sites=[
+                ECSiteState(name=site.spec.name, **self._site_snapshot(site, now))
+                for site in extra
+            ],
         )
 
-    def _build_site_state(self, site: int, now: float) -> ECSiteState:
-        """Estimated snapshot of one extra EC site (mirrors the primary)."""
-        runtime = self.extra_site_runtimes[site - 1]
-        speed = runtime.spec.speed
-        ec_free = [
-            self._machine_est_free(m, speed, now) for m in runtime.cluster.machines
-        ]
-        for job in runtime.cluster.queued_items():
-            st = self._states[job.key]
+    def _site_snapshot(self, site: _Site, now: float) -> dict[str, Any]:
+        """One EC site's estimated state, as ``SystemState``/``ECSiteState`` fields."""
+        return dict(
+            ec_free=self._ec_free(site, now),
+            ec_speed=site.spec.speed,
+            upload_backlog_mb=site.upload.backlog_mb,
+            download_backlog_mb=site.download.backlog_mb,
+            est_up_mbps=site.up_estimator.estimate(now),
+            est_down_mbps=site.down_estimator.estimate(now),
+            up_threads=site.up_tuner.threads_for(now),
+            down_threads=site.down_tuner.threads_for(now),
+            per_thread_mbps=self.config.per_thread_mbps,
+            upload_parallelism=len(site.upload.queues),
+        )
+
+    def _ec_free(self, site: _Site, now: float) -> list[float]:
+        """Estimated machine availability of one EC pool, its queue folded in."""
+        speed = site.spec.speed
+        states = self._states
+        machine_est_free = self._machine_est_free
+        ec_free = [machine_est_free(machine, speed, now) for machine in site.cluster.machines]
+        for job in site.cluster.queued_items():
             free = min(ec_free)
             idx = ec_free.index(free)
-            ec_free[idx] = max(now, free) + st.est_proc / speed
-        return ECSiteState(
-            name=runtime.spec.name,
-            ec_free=ec_free,
-            ec_speed=speed,
-            upload_backlog_mb=runtime.upload.backlog_mb,
-            download_backlog_mb=runtime.download.backlog_mb,
-            est_up_mbps=runtime.up_estimator.estimate(now),
-            est_down_mbps=runtime.down_estimator.estimate(now),
-            up_threads=runtime.up_tuner.threads_for(now),
-            down_threads=runtime.down_tuner.threads_for(now),
-            per_thread_mbps=self.config.per_thread_mbps,
-            upload_parallelism=len(runtime.upload.queues),
-        )
+            ec_free[idx] = (free if free > now else now) + states[job.key].est_proc / speed
+        return ec_free
 
     def _machine_est_free(self, machine: Machine, speed: float, now: float) -> float:
         item = machine.current_item
@@ -527,13 +485,10 @@ class CloudBurstEnvironment:
         if self._trace is not None:
             raise RuntimeError("environment instances are single-use; build a new one")
         self._scheduler = scheduler
-        total_ec_machines = self.config.ec_machines + sum(
-            s.spec.machines for s in self.extra_site_runtimes
-        )
         self._trace = RunTrace(
             scheduler_name=scheduler.name,
             ic_machines=self.ic.n_machines,
-            ec_machines=total_ec_machines,
+            ec_machines=sum(site.spec.machines for site in self.sites),
             arrival_time=arrival_time,
         )
         if scheduler.wants_size_interval_queues():
@@ -561,9 +516,10 @@ class CloudBurstEnvironment:
         trace = self._trace
         trace.end_time = self.sim.now
         trace.ic_busy_time = self.ic.total_busy_time
-        trace.ec_busy_time = self.ec.total_busy_time + sum(
-            s.cluster.total_busy_time for s in self.extra_site_runtimes
-        )
+        # Primary plus the extra sites' sum: the float association every
+        # pinned digest was taken with.
+        busy = [site.cluster.total_busy_time for site in self.sites]
+        trace.ec_busy_time = busy[0] + sum(busy[1:])
         trace.bandwidth_samples = list(self.up_estimator.samples)
         trace.records.sort(key=lambda r: (r.job_id, r.sub_id))
         trace.metadata.update(
@@ -657,7 +613,7 @@ class CloudBurstEnvironment:
         self, job: Job, batch: Batch, placement: str,
         est_proc: float, est_completion: float, ec_site: int = 0,
     ) -> None:
-        if ec_site and ec_site > len(self.extra_site_runtimes):
+        if not 0 <= ec_site < len(self.sites):
             raise ValueError(f"no EC site with index {ec_site}")
         record = JobRecord(
             job_id=job.job_id,
@@ -713,10 +669,8 @@ class CloudBurstEnvironment:
     # EC path: upload -> execute -> download
     # ------------------------------------------------------------------
     def _dispatch_ec(self, job: Job) -> None:
-        st = self._states[job.key]
-        site = st.site
-        cluster = self._site_cluster(site)
-        upload = self._site_upload(site)
+        site = self.sites[self._states[job.key].site]
+        cluster = site.cluster
 
         def on_start(payload: Job) -> None:
             rec = self._states[payload.key].record
@@ -733,7 +687,7 @@ class CloudBurstEnvironment:
                 on_start=self._on_exec_start,
             )
 
-        item = upload.enqueue(
+        item = site.upload.enqueue(
             job, job.input_mb, on_start=on_start, on_complete=on_uploaded
         )
 
@@ -751,7 +705,7 @@ class CloudBurstEnvironment:
             rec.completion_time = self.sim.now
             self._complete(self._states[payload.key])
 
-        self._site_download(st.site).enqueue(
+        self.sites[st.site].download.enqueue(
             job, job.output_mb, on_start=on_start, on_complete=on_downloaded
         )
 
@@ -796,7 +750,7 @@ class CloudBurstEnvironment:
         est_completions = {j.key: self._states[j.key].est_completion for j in waiting}
         est_procs = {j.key: self._states[j.key].est_proc for j in waiting}
         candidate = pick_ic_pull(
-            waiting, est_completions, est_procs, self.sim.now, self.config.ic_speed
+            waiting, est_completions, est_procs, self.sim.now, self._ic_plan_speed
         )
         if candidate is None:
             return
@@ -878,14 +832,26 @@ class Session:
         return self._result
 
     # ------------------------------------------------------------------
-    def advance_to(self, time: float, inclusive: bool = False) -> int:
-        """Play every simulation event preceding absolute ``time``.
+    def arrive_at(self, at: Optional[float]) -> None:
+        """Play every simulation event preceding workload instant ``at``.
 
-        Thin veneer over :meth:`repro.sim.engine.Simulator.run_until`
-        (exclusive boundary by default — see there for the online
-        tie-break rationale); returns the number of events executed.
+        ``at`` is in workload-relative seconds (offset from
+        :attr:`CloudBurstEnvironment.origin`); ``None`` stays at the
+        current virtual instant. The clock never runs backwards, so an
+        instant already passed raises ``ValueError``. The boundary is
+        exclusive (see :meth:`repro.sim.engine.Simulator.run_until` for
+        the online tie-break rationale).
         """
-        return self.env.sim.run_until(time, inclusive=inclusive)
+        if at is None:
+            return
+        env = self.env
+        t = env._t0 + at
+        if t < env.sim.now - 1e-12:
+            raise ValueError(
+                f"submission at t={t} behind the virtual clock ({env.sim.now})"
+            )
+        if t > env.sim.now:
+            env.sim.run_until(t)
 
     def submit(
         self,
@@ -898,9 +864,9 @@ class Session:
 
         ``at`` is in workload-relative seconds (offset from
         :attr:`CloudBurstEnvironment.origin`); when given, the session
-        first plays all simulation events preceding that instant. ``None``
-        submits at the current virtual instant, which must already have
-        been reached (the clock never runs backwards).
+        first plays all simulation events preceding that instant
+        (:meth:`arrive_at`). ``None`` submits at the current virtual
+        instant.
 
         ``state`` lets a caller that already built a snapshot *at this
         same instant with no intervening events* (the broker quotes
@@ -912,15 +878,8 @@ class Session:
         what makes offline replay and online serving traces match.
         """
         self._check_open()
+        self.arrive_at(at)
         env = self.env
-        if at is not None:
-            t = env._t0 + at
-            if t < env.sim.now - 1e-12:
-                raise ValueError(
-                    f"submission at t={t} behind the virtual clock ({env.sim.now})"
-                )
-            if t > env.sim.now:
-                env.sim.run_until(t)
         if batch_id is None:
             batch_id = env._batches_arrived
         if env._batches_arrived == 0:

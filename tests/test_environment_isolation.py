@@ -27,7 +27,7 @@ class TestNoSharedMutableState:
         a, b = make_env(), make_env()
         assert a.plugins is not b.plugins
         assert a._states is not b._states
-        assert a.extra_site_runtimes is not b.extra_site_runtimes
+        assert a.sites is not b.sites
         before = list(b.plugins)
         RunPlugin(a)
         assert b.plugins == before

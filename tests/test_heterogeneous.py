@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.baselines import RandomBurstScheduler
 from repro.core.greedy import GreedyScheduler
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
@@ -43,10 +44,10 @@ class TestHeterogeneousCluster:
 
 
 class TestHeterogeneousEnvironment:
-    def run_env(self, speeds):
+    def run_env(self, speeds, scheduler=GreedyScheduler, **config):
         cfg = SystemConfig(
             ic_machines=4, ec_machines=2, seed=23,
-            ic_machine_speeds=speeds,
+            ic_machine_speeds=speeds, **config,
         )
         gen = WorkloadGenerator(bucket=Bucket.UNIFORM, seed=6)
         batches = gen.generate(
@@ -54,7 +55,29 @@ class TestHeterogeneousEnvironment:
         )
         env = CloudBurstEnvironment(cfg)
         env.pretrain_qrsm(*gen.sample_training_set(150))
-        return env.run(batches, GreedyScheduler(env.estimator))
+        return env.run(batches, scheduler(env.estimator))
+
+    def test_ic_pull_plans_at_pool_speed(self, monkeypatch):
+        """IC pull prices a local rerun at the pool's speed, not ``ic_speed``."""
+        import repro.sim.environment as environment
+
+        seen: list[float] = []
+        real = environment.pick_ic_pull
+
+        def spy(waiting, est_completions, est_procs, now, ic_speed):
+            seen.append(ic_speed)
+            return real(waiting, est_completions, est_procs, now, ic_speed)
+
+        monkeypatch.setattr(environment, "pick_ic_pull", spy)
+        # Burst nearly everything so uploads queue while the IC idles.
+        trace = self.run_env(
+            (2.0, 2.0),
+            scheduler=lambda est: RandomBurstScheduler(est, burst_probability=0.9),
+            enable_ic_pull=True,
+        )
+        assert any(r.rescheduled for r in trace.records)
+        assert seen
+        assert set(seen) == {2.0}
 
     def test_mixed_pool_run_is_clean(self):
         trace = self.run_env((0.5, 1.0, 1.0, 2.0, 2.0))

@@ -38,16 +38,21 @@ def _noop() -> None:
     pass
 
 
-def make_checker(**env_attrs) -> EnvironmentInvariants:
-    """Checker bound to a stub environment (direct hook calls)."""
+def make_checker(upload=None, **env_attrs) -> EnvironmentInvariants:
+    """Checker bound to a stub environment (direct hook calls).
+
+    ``upload`` stands in for the primary site's upload pipeline.
+    """
+    primary = SimpleNamespace(
+        upload=upload or SimpleNamespace(name="upload", backlog_mb=0.0),
+        download=SimpleNamespace(name="download", backlog_mb=0.0),
+    )
     defaults = dict(
         plugins=[],
         sim=SimpleNamespace(now=0.0),
         jobs_in_system=0,
         _open={},
-        upload=SimpleNamespace(name="upload", backlog_mb=0.0),
-        download=SimpleNamespace(name="download", backlog_mb=0.0),
-        extra_site_runtimes=[],
+        sites=[primary],
     )
     defaults.update(env_attrs)
     return EnvironmentInvariants(SimpleNamespace(**defaults))

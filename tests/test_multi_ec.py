@@ -1,4 +1,4 @@
-"""Multi-cloud bursting tests: SiteView, schedulers, environment sites."""
+"""Multi-cloud bursting tests: state sites, schedulers, environment sites."""
 
 from __future__ import annotations
 
@@ -6,14 +6,14 @@ import pytest
 
 from repro.common import Placement
 from repro.core.base import ECSiteState
-from repro.core.multi_ec import (
-    MultiECGreedyScheduler,
-    MultiECOrderPreservingScheduler,
-    SiteView,
-    site_views,
-)
+from repro.core.greedy import GreedyScheduler
+from repro.core.multi_ec import MultiECGreedyScheduler, MultiECOrderPreservingScheduler
+from repro.core.order_preserving import OrderPreservingScheduler
+from repro.experiments.config import ExperimentSpec
+from repro.experiments.runner import build_workload, run_one, training_data
 from repro.metrics.sla import summarize
 from repro.sim.environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
+from repro.sim.tracing import hash_trace
 from repro.workload.distributions import Bucket
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -38,43 +38,69 @@ def state_with_sites(**kwargs):
 
 
 class TestSiteView:
+    """Every EC site through ``state.sites``, ``ft_ec`` and ``commit_ec``.
+
+    The class and test names keep the per-site view vocabulary of the
+    accessor class these behaviours were first pinned on.
+    """
+
     def test_primary_view_reads_flat_fields(self):
         state = make_state(now=5.0, ec_free=[7.0, 9.0], upload_backlog_mb=12.0)
-        view = SiteView(state, 0)
-        assert view.ec_free == [7.0, 9.0]
-        assert view.upload_backlog_mb == 12.0
-        assert view.up_rate == state.up_rate
+        site = state.sites[0]
+        assert site is state
+        assert site.ec_free == [7.0, 9.0]
+        assert site.upload_backlog_mb == 12.0
+        assert site.up_rate == state.up_rate
 
     def test_extra_view_reads_site_state(self):
         state = state_with_sites(now=0.0)
-        view = SiteView(state, 1)
-        assert view.name == "provider-b"
-        assert view.ec_free == [0.0, 0.0]
+        site = state.sites[1]
+        assert site is state.extra_sites[0]
+        assert site.name == "provider-b"
+        assert site.ec_free == [0.0, 0.0]
+        assert site.up_rate == pytest.approx(2.0)
 
     def test_out_of_range_index(self):
         state = make_state()
         with pytest.raises(IndexError):
-            SiteView(state, 1)
+            state.sites[1]
 
     def test_site_views_enumerates_all(self):
         state = state_with_sites()
-        views = site_views(state)
-        assert [v.index for v in views] == [0, 1]
+        assert state.sites == [state, state.extra_sites[0]]
 
     def test_ft_ec_matches_primary_estimator(self):
-        """Site-0 view must agree with the flat-field estimator."""
+        """Site 0 must agree with the default (primary) estimate."""
         est = StubEstimator()
         state = make_state(now=0.0, ec_free=[0.0, 0.0], upload_backlog_mb=100.0)
         job = make_job(size_mb=100.0, proc_time=60.0, output_mb=40.0)
-        via_view = SiteView(state, 0).ft_ec(job, 60.0)
-        via_estimator = est.ft_ec(job, state, 60.0)
-        assert via_view.completion == pytest.approx(via_estimator.completion)
-        assert via_view.upload_end == pytest.approx(via_estimator.upload_end)
+        via_site = est.ft_ec(job, state, 60.0, site=state.sites[0])
+        via_default = est.ft_ec(job, state, 60.0)
+        assert via_site == via_default
+
+    def test_ft_ec_reads_extra_site(self):
+        """An extra site's estimate uses its own links and pool, and the state's clock."""
+        est = StubEstimator()
+        state = state_with_sites(now=10.0, ec_free=[500.0], upload_backlog_mb=100.0)
+        job = make_job(size_mb=20.0, proc_time=60.0, output_mb=10.0)
+        got = est.ft_ec(job, state, 60.0, site=state.sites[1])
+        assert got.upload_end == pytest.approx(10.0 + 20.0 / 2.0)
+        assert got.exec_start == pytest.approx(20.0)
+        assert got.exec_end == pytest.approx(80.0)
+        assert got.completion == pytest.approx(80.0 + 10.0 / 2.0)
+
+    def test_ft_ec_empty_pool_starts_at_upload_end(self):
+        est = StubEstimator()
+        state = state_with_sites(now=0.0)
+        state.extra_sites[0].ec_free = []
+        job = make_job(size_mb=20.0, proc_time=60.0, output_mb=10.0)
+        got = est.ft_ec(job, state, 60.0, site=state.sites[1])
+        assert got.exec_start == got.upload_end
 
     def test_commit_primary_mutates_flat_fields(self):
         state = make_state(ec_free=[0.0])
         job = make_job(size_mb=50.0, output_mb=20.0)
-        SiteView(state, 0).commit(job, ec_exec_end=100.0, completion=120.0)
+        state.commit_ec(job, ec_exec_end=100.0, completion=120.0, site=state.sites[0])
         assert state.upload_backlog_mb == 50.0
         assert state.ec_free == [100.0]
         assert state.pending_completions[-1] == 120.0
@@ -82,17 +108,22 @@ class TestSiteView:
     def test_commit_extra_mutates_site(self):
         state = state_with_sites()
         job = make_job(size_mb=50.0, output_mb=20.0)
-        SiteView(state, 1).commit(job, ec_exec_end=100.0, completion=120.0)
+        state.commit_ec(job, ec_exec_end=100.0, completion=120.0, site=state.sites[1])
         site = state.extra_sites[0]
         assert site.upload_backlog_mb == 50.0
+        assert site.download_backlog_mb == 20.0
         assert 100.0 in site.ec_free
         assert state.upload_backlog_mb == 0.0  # primary untouched
+        assert state.pending_completions[-1] == 120.0  # the shared pool
 
     def test_clone_deep_copies_sites(self):
         state = state_with_sites()
         clone = state.clone()
         clone.extra_sites[0].upload_backlog_mb = 99.0
+        clone.sites[1].ec_free.append(7.0)
         assert state.extra_sites[0].upload_backlog_mb == 0.0
+        assert state.sites[1].ec_free == [state.now, state.now]
+        assert clone.sites[0] is clone
 
 
 class TestMultiSchedulers:
@@ -173,9 +204,7 @@ class TestMultiSiteEnvironment:
 
     def test_busy_time_sums_sites(self):
         env, trace = self._run(MultiECOrderPreservingScheduler)
-        expected = env.ec.total_busy_time + sum(
-            s.cluster.total_busy_time for s in env.extra_site_runtimes
-        )
+        expected = sum(site.cluster.total_busy_time for site in env.sites)
         assert trace.ec_busy_time == pytest.approx(expected)
 
     def test_two_sites_beat_one_under_load(self):
@@ -201,3 +230,64 @@ class TestMultiSiteEnvironment:
             ECSiteSpec(name="x", machines=0)
         with pytest.raises(ValueError):
             ECSiteSpec(name="x", up_base_mbps=0.0)
+
+
+#: Two extra sites: a small slow one and a faster pool whose pipe peaks
+#: in the afternoon.
+TWO_EXTRA_SITES = (
+    ECSiteSpec(name="b", machines=1, up_base_mbps=3.0, down_base_mbps=4.0),
+    ECSiteSpec(name="c", machines=2, speed=1.5, peak_hour=16.0),
+)
+
+#: ``hash_trace`` of each Multi scheduler under ``TWO_EXTRA_SITES`` on the
+#: default spec, pinned before the primary and the extra sites shared one
+#: build path.
+MULTI_SITE_DIGESTS = {
+    ("MultiGreedy", Bucket.LARGE):
+        "18ba2706b5bbab306ff5a7a9497417c774f7987c652eef5872571205570f849c",
+    ("MultiOp", Bucket.LARGE):
+        "02504aca6de5a02c069a7f56a1ebbc174ecf4bf6bb39df2191644ebf0005a92c",
+    ("MultiGreedy", Bucket.UNIFORM):
+        "964495c8d19197d29d7677c9067c9c21edc139c445e1d479c7604b627b28cca1",
+    ("MultiOp", Bucket.UNIFORM):
+        "ef25465ea1e21dc48c733b99df66a0f8680abb5a68fdb33b0870271c1963488b",
+}
+
+
+def run_with(spec: ExperimentSpec, make_scheduler):
+    """``run_one`` with a hand-built scheduler instead of a registry name."""
+    env = CloudBurstEnvironment(spec.system)
+    env.pretrain_qrsm(*training_data(spec))
+    return env.run(build_workload(spec), make_scheduler(env.estimator))
+
+
+class TestSitePathDigests:
+    """Trace-level pins of the multi-site planning path."""
+
+    @pytest.mark.parametrize("bucket", list(Bucket))
+    def test_single_site_multi_greedy_is_greedy(self, bucket):
+        spec = ExperimentSpec(bucket=bucket)
+        assert hash_trace(run_with(spec, MultiECGreedyScheduler)) == hash_trace(
+            run_with(spec, GreedyScheduler)
+        )
+
+    @pytest.mark.parametrize("bucket", list(Bucket))
+    def test_single_site_multi_op_is_op_without_chunking(self, bucket):
+        spec = ExperimentSpec(bucket=bucket)
+        unchunked = run_with(
+            spec, lambda est: OrderPreservingScheduler(est, enable_chunking=False)
+        )
+        assert hash_trace(run_with(spec, MultiECOrderPreservingScheduler)) == hash_trace(
+            unchunked
+        )
+
+    @pytest.mark.parametrize("name,bucket", sorted(
+        MULTI_SITE_DIGESTS, key=lambda k: (k[0], k[1].value)
+    ))
+    def test_two_extra_sites_golden(self, name, bucket):
+        spec = ExperimentSpec(bucket=bucket).with_system(extra_ec_sites=TWO_EXTRA_SITES)
+        trace = run_one(name, spec)
+        # The digest covers runs that really burst to the extra sites.
+        machines = {r.machine.rsplit("-", 1)[0] for r in trace.records if r.machine}
+        assert {"ec-b", "ec-c"} <= machines
+        assert hash_trace(trace) == MULTI_SITE_DIGESTS[(name, bucket)]
