@@ -1,18 +1,20 @@
 """Ablation — multi-cloud bursting (the paper's "where" question).
 
 Section I: "one could possibly choose from a pool of Cloud Providers at
-run-time". Compares single-site Op against the multi-site Op given a
-second provider with its own (independent) pipe, over the same workload.
+run-time". Compares Op (without chunking) on one site against the same
+scheduler given a second provider with its own (independent) pipe, over
+the same workload.
 A second site adds both compute AND transfer capacity, so under a loaded
 IC the multi-cloud run must finish no later and burst at least as much.
 """
 
 import numpy as np
 
+from repro.core.order_preserving import OrderPreservingScheduler
 from repro.experiments.config import ExperimentSpec
-from repro.experiments.runner import build_workload, run_one
+from repro.experiments.runner import build_workload, training_data
 from repro.metrics.sla import summarize
-from repro.sim.environment import ECSiteSpec, SystemConfig
+from repro.sim.environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
 from repro.workload.distributions import Bucket
 
 SPEC = ExperimentSpec(bucket=Bucket.LARGE, n_batches=5,
@@ -24,14 +26,21 @@ SECOND_PROVIDER = ECSiteSpec(
 )
 
 
+def _run(spec, batches):
+    """``run_one``'s environment, driven by Op without chunking."""
+    env = CloudBurstEnvironment(spec.system)
+    env.pretrain_qrsm(*training_data(spec))
+    return env.run(batches, OrderPreservingScheduler(env.estimator, enable_chunking=False))
+
+
 def _run_pair():
     rows = []
     for seed in (51, 52, 53):
         spec = SPEC.with_seed(seed)
         batches = build_workload(spec)
-        single = summarize(run_one("MultiOp", spec, batches=batches))
+        single = summarize(_run(spec, batches))
         multi_spec = spec.with_system(extra_ec_sites=(SECOND_PROVIDER,))
-        multi = summarize(run_one("MultiOp", multi_spec, batches=batches))
+        multi = summarize(_run(multi_spec, batches))
         rows.append((seed, single, multi))
     return rows
 

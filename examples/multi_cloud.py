@@ -4,9 +4,9 @@
 Section I anticipates that "one could possibly choose from a pool of Cloud
 Providers at run-time depending on the input job's service level
 agreements". This example adds a second external provider in a different
-region (its diurnal bandwidth peaks 10 hours later) and lets the
-multi-site Order-Preserving scheduler pick the earliest-completing
-provider per job.
+region (its diurnal bandwidth peaks 10 hours later). The Order-Preserving
+scheduler (run without chunking here) bursts each job to the provider
+whose round trip completes earliest.
 
 Run:  python examples/multi_cloud.py
 """
@@ -17,7 +17,7 @@ from repro import (
     Bucket,
     CloudBurstEnvironment,
     ECSiteSpec,
-    MultiECOrderPreservingScheduler,
+    OrderPreservingScheduler,
     SystemConfig,
     WorkloadConfig,
     WorkloadGenerator,
@@ -28,7 +28,7 @@ from repro import (
 def run(extra_sites, batches, gen, seed=33):
     env = CloudBurstEnvironment(SystemConfig(seed=seed, extra_ec_sites=extra_sites))
     env.pretrain_qrsm(*gen.sample_training_set(300))
-    trace = env.run(batches, MultiECOrderPreservingScheduler(env.estimator))
+    trace = env.run(batches, OrderPreservingScheduler(env.estimator, enable_chunking=False))
     return env, trace
 
 

@@ -38,7 +38,6 @@ _EXPORTS = {
     ".core.estimators": ("FinishTimeEstimator",),
     ".core.greedy": ("GreedyScheduler",),
     ".core.ic_only": ("ICOnlyScheduler",),
-    ".core.multi_ec": ("MultiECGreedyScheduler", "MultiECOrderPreservingScheduler"),
     ".core.order_preserving": ("OrderPreservingScheduler",),
     ".core.slack": ("SlackLedger", "slack_time"),
     ".core.ticket_aware": ("TicketAwareScheduler", "TicketQuote"),
@@ -80,7 +79,6 @@ __all__ = [
     "Scheduler", "SystemState", "BatchPlan", "Decision",
     "ICOnlyScheduler", "GreedyScheduler", "OrderPreservingScheduler",
     "SizeIntervalSplittingScheduler", "FinishTimeEstimator",
-    "MultiECGreedyScheduler", "MultiECOrderPreservingScheduler",
     "TicketAwareScheduler", "TicketQuote",
     "SlackLedger", "slack_time", "ChunkPolicy",
     # models

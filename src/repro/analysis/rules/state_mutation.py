@@ -3,9 +3,10 @@
 :class:`repro.core.base.SystemState` is both a snapshot and an in-batch
 planning ledger: as a scheduler assigns jobs it *commits* each decision so
 later jobs in the batch see the load earlier ones will create. The commit
-methods (``commit_ic``, and ``commit_ec`` for any of ``state.sites``)
-keep the coupled fields consistent — machine free times, link backlogs and the
-pending-completion pool move together. A scheduler that pokes
+methods (``commit_ic``, and ``commit_ec``, which books on the estimate's
+own entry of ``state.sites``) keep the coupled fields consistent —
+machine free times, link backlogs and the pending-completion pool move
+together. A scheduler that pokes
 ``state.ic_free[0] = t`` or ``state.upload_backlog_mb += mb`` directly
 bypasses that coupling and silently skews every later decision in the
 batch.

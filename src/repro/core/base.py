@@ -22,7 +22,9 @@ from typing import Optional, Union
 from ..workload.document import Job
 from ..common import Placement
 
-__all__ = ["SystemState", "ECSiteState", "Site", "Decision", "BatchPlan", "Scheduler"]
+__all__ = [
+    "SystemState", "ECSiteState", "Site", "EcEstimate", "Decision", "BatchPlan", "Scheduler",
+]
 
 
 class _SiteRates:
@@ -75,6 +77,20 @@ class ECSiteState(_SiteRates):
 
     def clone(self) -> "ECSiteState":
         return replace(self, ec_free=list(self.ec_free))
+
+
+@dataclass
+class EcEstimate:
+    """Breakdown of an external-cloud round trip estimate.
+
+    ``site`` is the index into ``SystemState.sites`` of the site priced.
+    """
+
+    upload_end: float
+    exec_start: float
+    exec_end: float
+    completion: float
+    site: int = 0
 
 
 @dataclass
@@ -196,34 +212,34 @@ class SystemState(_SiteRates):
     # ------------------------------------------------------------------
     # Planning commits
     # ------------------------------------------------------------------
-    def commit_ic(self, finish_time: float) -> None:
-        """Record an IC assignment: the earliest machine now frees later."""
-        idx = min(range(len(self.ic_free)), key=self.ic_free.__getitem__)
-        self.ic_free[idx] = finish_time
-        self.pending_completions.append(finish_time)
+    def commit_ic(self, job: Job, est_proc: float, t_ic: float) -> Decision:
+        """Record an IC assignment: the earliest machine now frees later.
 
-    def commit_ec(
-        self,
-        job: Job,
-        ec_exec_end: float,
-        completion: float,
-        site: Optional[Site] = None,
-    ) -> None:
+        Returns the matching :class:`Decision`.
+        """
+        idx = min(range(len(self.ic_free)), key=self.ic_free.__getitem__)
+        self.ic_free[idx] = t_ic
+        self.pending_completions.append(t_ic)
+        return Decision(job, Placement.IC, est_proc, t_ic)
+
+    def commit_ec(self, job: Job, est_proc: float, ec: EcEstimate) -> Decision:
         """Record an EC assignment: link backlog and EC machine load grow.
 
-        ``site`` is one of :attr:`sites` (default: the primary). Its
-        backlogs and machine load grow, while the completion joins this
-        state's shared pending pool (slack is queue-global no matter
-        where the job bursts).
+        The estimate's own site (``ec.site``, an index into :attr:`sites`)
+        takes the backlogs and the machine load, while the completion
+        joins this state's shared pending pool (slack is queue-global no
+        matter where the job bursts). Returns the matching
+        :class:`Decision`, whose ``ec_site`` is ``ec.site``.
         """
-        s = self if site is None else site
+        s = self.sites[ec.site]
         s.upload_backlog_mb += job.input_mb
         s.download_backlog_mb += job.output_mb
         ec_free = s.ec_free
         if ec_free:
             idx = min(range(len(ec_free)), key=ec_free.__getitem__)
-            ec_free[idx] = ec_exec_end
-        self.pending_completions.append(completion)
+            ec_free[idx] = ec.exec_end
+        self.pending_completions.append(ec.completion)
+        return Decision(job, Placement.EC, est_proc, ec.completion, ec_site=ec.site)
 
 
 #: One EC site as planning code sees it: the primary is the

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..common import Placement
 from ..workload.document import Job
-from .base import BatchPlan, Decision, Scheduler, SystemState
+from .base import BatchPlan, Scheduler, SystemState
 from .estimators import FinishTimeEstimator
 
 __all__ = ["RandomBurstScheduler", "ThresholdScheduler"]
@@ -51,14 +50,10 @@ class RandomBurstScheduler(Scheduler):
             est_proc = self.estimator.est_proc_time(job)
             if self.rng.random() < self.burst_probability:
                 ec = self.estimator.ft_ec(job, state, est_proc)
-                state.commit_ec(job, ec.exec_end, ec.completion)
-                plan.decisions.append(
-                    Decision(job, Placement.EC, est_proc, ec.completion)
-                )
+                plan.decisions.append(state.commit_ec(job, est_proc, ec))
             else:
                 t_ic = self.estimator.ft_ic(job, state, est_proc)
-                state.commit_ic(t_ic)
-                plan.decisions.append(Decision(job, Placement.IC, est_proc, t_ic))
+                plan.decisions.append(state.commit_ic(job, est_proc, t_ic))
         return plan
 
 
@@ -92,12 +87,8 @@ class ThresholdScheduler(Scheduler):
             est_proc = self.estimator.est_proc_time(job)
             if self._ic_backlog_per_machine(state) > self.backlog_threshold_s:
                 ec = self.estimator.ft_ec(job, state, est_proc)
-                state.commit_ec(job, ec.exec_end, ec.completion)
-                plan.decisions.append(
-                    Decision(job, Placement.EC, est_proc, ec.completion)
-                )
+                plan.decisions.append(state.commit_ec(job, est_proc, ec))
             else:
                 t_ic = self.estimator.ft_ic(job, state, est_proc)
-                state.commit_ic(t_ic)
-                plan.decisions.append(Decision(job, Placement.IC, est_proc, t_ic))
+                plan.decisions.append(state.commit_ic(job, est_proc, t_ic))
         return plan

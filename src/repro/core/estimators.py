@@ -10,27 +10,21 @@ time, time-of-day EWMA for bandwidth) plus the queue/backlog snapshot in
 :class:`repro.core.base.SystemState` — never from the environment's hidden
 ground truth. Estimation error is therefore a real phenomenon here, as in
 the paper (Section IV.D discusses its consequences).
+
+``ft_ec`` also answers *where* to burst (Section I): it prices every EC
+site in ``state.sites`` and returns the earliest round trip, tagged with
+the site's index. Every scheduler that bursts therefore bursts to the
+earliest-completing site, and ``SystemState.commit_ec`` books the job on
+that same site. With one site this is the paper's single-EC estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..models.qrsm import QuadraticResponseSurface
 from ..workload.document import Job
-from .base import Site, SystemState
+from .base import EcEstimate, SystemState
 
 __all__ = ["FinishTimeEstimator", "EcEstimate"]
-
-
-@dataclass
-class EcEstimate:
-    """Breakdown of an external-cloud round trip estimate."""
-
-    upload_end: float
-    exec_start: float
-    exec_end: float
-    completion: float
 
 
 class FinishTimeEstimator:
@@ -70,30 +64,34 @@ class FinishTimeEstimator:
         job: Job,
         state: SystemState,
         est_proc: float | None = None,
-        site: Site | None = None,
+        site: int | None = None,
     ) -> EcEstimate:
         """Estimated completion of the full EC round trip under current load.
 
         Upload is serialised behind the current upload backlog at the
         estimated effective rate (Eq. 2's ``s_i / l(t_i)``); execution
         waits for an EC machine; the result download queues behind the
-        download backlog (``o_i / l(t_i + t')``). ``site`` is one of
-        ``state.sites`` (default: the primary); its links, backlogs and
-        pool are read, ``state.now`` is the decision instant.
+        download backlog (``o_i / l(t_i + t')``). This is also the
+        paper's "where": every entry of ``state.sites`` is priced and the
+        earliest completion wins, the lowest index on a tie. An explicit
+        ``site`` index prices that one site only. ``state.now`` is the
+        decision instant.
         """
         if est_proc is None:
             est_proc = self.est_proc_time(job)
-        s = state if site is None else site
-        upload_end = state.now + (s.upload_backlog_mb + job.input_mb) / s.up_rate
-        exec_start = max(upload_end, min(s.ec_free, default=upload_end))
-        exec_end = exec_start + est_proc / s.ec_speed
-        completion = exec_end + (s.download_backlog_mb + job.output_mb) / s.down_rate
-        return EcEstimate(
-            upload_end=upload_end,
-            exec_start=exec_start,
-            exec_end=exec_end,
-            completion=completion,
-        )
+        now = state.now
+        sites = state.sites
+        best: EcEstimate | None = None
+        for index in range(len(sites)) if site is None else (site,):
+            s = sites[index]
+            upload_end = now + (s.upload_backlog_mb + job.input_mb) / s.up_rate
+            exec_start = max(upload_end, min(s.ec_free, default=upload_end))
+            exec_end = exec_start + est_proc / s.ec_speed
+            completion = exec_end + (s.download_backlog_mb + job.output_mb) / s.down_rate
+            if best is None or completion < best.completion:
+                best = EcEstimate(upload_end, exec_start, exec_end, completion, index)
+        assert best is not None
+        return best
 
     def ec_round_trip_unloaded(self, job: Job, state: SystemState, est_proc: float | None = None) -> float:
         """Algorithm 3's ``t_ec``: EC round-trip duration *under no load*.

@@ -13,9 +13,8 @@ errors and bandwidth dips surface as high out-of-order peaks (Figs. 7-9).
 
 from __future__ import annotations
 
-from ..common import Placement
 from ..workload.document import Job
-from .base import BatchPlan, Decision, Scheduler, SystemState
+from .base import BatchPlan, Scheduler, SystemState
 from .estimators import FinishTimeEstimator
 
 __all__ = ["GreedyScheduler"]
@@ -36,13 +35,7 @@ class GreedyScheduler(Scheduler):
             t_ic = self.estimator.ft_ic(job, state, est_proc)
             ec = self.estimator.ft_ec(job, state, est_proc)
             if t_ic <= ec.completion:  # Alg. 1 line 4: ties stay local
-                state.commit_ic(t_ic)
-                plan.decisions.append(
-                    Decision(job, Placement.IC, est_proc, t_ic)
-                )
+                plan.decisions.append(state.commit_ic(job, est_proc, t_ic))
             else:
-                state.commit_ec(job, ec.exec_end, ec.completion)
-                plan.decisions.append(
-                    Decision(job, Placement.EC, est_proc, ec.completion)
-                )
+                plan.decisions.append(state.commit_ec(job, est_proc, ec))
         return plan

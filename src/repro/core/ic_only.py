@@ -9,9 +9,8 @@ unevenly).
 
 from __future__ import annotations
 
-from ..common import Placement
 from ..workload.document import Job
-from .base import BatchPlan, Decision, Scheduler, SystemState
+from .base import BatchPlan, Scheduler, SystemState
 from .estimators import FinishTimeEstimator
 
 __all__ = ["ICOnlyScheduler"]
@@ -30,13 +29,5 @@ class ICOnlyScheduler(Scheduler):
         for job in jobs:
             est_proc = self.estimator.est_proc_time(job)
             finish = self.estimator.ft_ic(job, state, est_proc)
-            state.commit_ic(finish)
-            plan.decisions.append(
-                Decision(
-                    job=job,
-                    placement=Placement.IC,
-                    est_proc_time=est_proc,
-                    est_completion=finish,
-                )
-            )
+            plan.decisions.append(state.commit_ic(job, est_proc, finish))
         return plan

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..common import Placement
 from ..workload.document import Job
-from .base import BatchPlan, Decision, Scheduler, SystemState
+from .base import BatchPlan, Scheduler, SystemState
 from .chunking import ChunkPolicy, chunk_batch
 from .estimators import FinishTimeEstimator
 from .slack import SlackLedger
@@ -66,16 +65,10 @@ class OrderPreservingScheduler(Scheduler):
             est_proc = self.estimator.est_proc_time(job)
             ec = self.estimator.ft_ec(job, state, est_proc)
             if ledger.can_burst(ec.completion, margin=self.slack_margin):
-                state.commit_ec(job, ec.exec_end, ec.completion)
+                plan.decisions.append(state.commit_ec(job, est_proc, ec))
                 ledger.add(ec.completion)
-                plan.decisions.append(
-                    Decision(job, Placement.EC, est_proc, ec.completion)
-                )
             else:
                 t_ic = self.estimator.ft_ic(job, state, est_proc)
-                state.commit_ic(t_ic)
+                plan.decisions.append(state.commit_ic(job, est_proc, t_ic))
                 ledger.add(t_ic)
-                plan.decisions.append(
-                    Decision(job, Placement.IC, est_proc, t_ic)
-                )
         return plan

@@ -72,7 +72,8 @@ def pick_ec_push(
     against the estimated completions of everything else in the system
     (jobs behind it in FCFS order do not gate it, so for the scan-from-tail
     policy the pending pool minus the job's own contribution is the
-    correct ``T_i``).
+    correct ``T_i``). The push ships through the primary site's idle
+    uplink, so the round trip is priced on site 0, not the best site.
     """
     if state.pending_keyed:
         pool = state.pending_keyed
@@ -80,7 +81,7 @@ def pick_ec_push(
         pool = [(None, t) for t in state.pending_completions]
     for job in reversed(list(waiting_ic_jobs)):
         est_proc = estimator.est_proc_time(job)
-        ec = estimator.ft_ec(job, state, est_proc)
+        ec = estimator.ft_ec(job, state, est_proc, site=0)
         others = [t for key, t in pool if key != job.key]
         ledger = SlackLedger(others, now=state.now)
         if ledger.can_burst(ec.completion):

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..common import Placement
 from ..workload.document import Job
-from .base import BatchPlan, Decision, SystemState
+from .base import BatchPlan, SystemState
 from .estimators import FinishTimeEstimator
 from .order_preserving import OrderPreservingScheduler
 from .slack import SlackLedger
@@ -79,15 +78,9 @@ class TicketAwareScheduler(OrderPreservingScheduler):
             slack_ok = ledger.can_burst(ec.completion, margin=self.slack_margin)
             ticket_ok = ec.completion <= deadline or t_ic > deadline
             if slack_ok and ticket_ok:
-                state.commit_ec(job, ec.exec_end, ec.completion)
+                plan.decisions.append(state.commit_ec(job, est_proc, ec))
                 ledger.add(ec.completion)
-                plan.decisions.append(
-                    Decision(job, Placement.EC, est_proc, ec.completion)
-                )
             else:
-                state.commit_ic(t_ic)
+                plan.decisions.append(state.commit_ic(job, est_proc, t_ic))
                 ledger.add(t_ic)
-                plan.decisions.append(
-                    Decision(job, Placement.IC, est_proc, t_ic)
-                )
         return plan

@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..common import Placement
-from ..core.base import BatchPlan, Decision, Scheduler, SystemState
+from ..core.base import BatchPlan, Scheduler, SystemState
 from ..core.estimators import FinishTimeEstimator
 from ..service.policy import AdmissionDecision, AdmissionResult, SLAPolicy
 from ..service.quotes import SLAQuote
@@ -97,20 +96,14 @@ class CostAwareScheduler(Scheduler):
             pen_ec = model.expected_penalty_usd(
                 job, est_proc, ec.completion, state.now
             )
-            ec_usd = model.burst_cost_usd(job, est_proc, state.ec_speed)
+            ec_usd = model.burst_cost_usd(job, est_proc, state.sites[ec.site].ec_speed)
             # Burst only when the penalty avoided pays the provider's
             # invoice; ties (including the no-penalty case) stay local —
             # the IC is already paid for.
             if pen_ic - pen_ec > ec_usd:
-                state.commit_ec(job, ec.exec_end, ec.completion)
-                plan.decisions.append(
-                    Decision(job, Placement.EC, est_proc, ec.completion)
-                )
+                plan.decisions.append(state.commit_ec(job, est_proc, ec))
             else:
-                state.commit_ic(t_ic)
-                plan.decisions.append(
-                    Decision(job, Placement.IC, est_proc, t_ic)
-                )
+                plan.decisions.append(state.commit_ic(job, est_proc, t_ic))
         return plan
 
 

@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Optional
 from ..core.base import Scheduler
 from ..core.bandwidth_splitting import SizeIntervalSplittingScheduler
 from ..core.baselines import RandomBurstScheduler, ThresholdScheduler
-from ..core.multi_ec import MultiECGreedyScheduler, MultiECOrderPreservingScheduler
 from ..core.greedy import GreedyScheduler
 from ..core.ic_only import ICOnlyScheduler
 from ..econ import EconRuntime
@@ -30,17 +29,14 @@ from .config import ExperimentSpec
 
 __all__ = ["SCHEDULER_NAMES", "PAPER_SCHEDULERS", "make_scheduler", "run_one", "run_comparison", "build_workload"]
 
-#: Scheduler registry: name -> factory(environment) in paper order.
+#: Scheduler registry: name -> factory(environment) in paper order. With
+#: extra_ec_sites configured, every scheduler that bursts sends each
+#: bursted job to the earliest-completing site (``FinishTimeEstimator.ft_ec``).
 SCHEDULER_FACTORIES: dict[str, Callable[[CloudBurstEnvironment], Scheduler]] = {
     "ICOnly": lambda env: ICOnlyScheduler(env.estimator),
     "Greedy": lambda env: GreedyScheduler(env.estimator),
     "Op": lambda env: OrderPreservingScheduler(env.estimator),
     "OpSIBS": lambda env: SizeIntervalSplittingScheduler(env.estimator),
-    # Multi-cloud variants: on a single-site environment MultiGreedy's trace
-    # equals Greedy's and MultiOp's equals Op's without chunking (MultiOp
-    # never chunks); they spread bursts when extra_ec_sites are configured.
-    "MultiGreedy": lambda env: MultiECGreedyScheduler(env.estimator),
-    "MultiOp": lambda env: MultiECOrderPreservingScheduler(env.estimator),
     # Ticket-aware variant: Op plus a per-job promise guard on bursting.
     "TicketOp": lambda env: TicketAwareScheduler(env.estimator),
     # Naive baselines for comparison studies (no learned-model reasoning).

@@ -172,15 +172,6 @@ class Simulator:
             return None
         return heap[0].time
 
-    def peek_next_time(self) -> Optional[float]:
-        """Alias of :meth:`peek` for the incremental stepping API.
-
-        Lets an external driver (the online broker) decide whether a new
-        arrival at ``t`` precedes or follows the simulation's next internal
-        event without disturbing the heap.
-        """
-        return self.peek()
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -352,14 +343,3 @@ class Simulator:
         finally:
             self._running = False
         return executed
-
-    def advance_to(self, time: float) -> None:
-        """Advance the clock without running events (no active event may precede it)."""
-        nxt = self.peek()
-        if nxt is not None and nxt < time:
-            raise SimulationError(
-                f"cannot advance past pending event at t={nxt} (target {time})"
-            )
-        if time < self._now:
-            raise SimulationError("cannot advance backwards")
-        self._now = float(time)

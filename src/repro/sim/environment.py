@@ -105,8 +105,8 @@ class SystemConfig:
     enable_ec_push: bool = False
     ec_push_interval_s: float = 30.0
     #: Additional external clouds beyond the primary one (the "where"
-    #: extension); schedulers that understand multiple sites
-    #: (:mod:`repro.core.multi_ec`) can address them by index.
+    #: extension). Every scheduler that bursts prices each site and sends
+    #: a bursted job to the earliest-completing one.
     extra_ec_sites: tuple[ECSiteSpec, ...] = ()
     #: Hard cap on simulated events per run — a diverging run (offered load
     #: beyond total capacity forever) fails loudly instead of spinning.
@@ -742,7 +742,8 @@ class CloudBurstEnvironment:
             return
         waiting = [
             item.payload
-            for queue in self.upload.queues
+            for site in self.sites
+            for queue in site.upload.queues
             for item in queue.items
         ]
         if not waiting:
@@ -755,9 +756,9 @@ class CloudBurstEnvironment:
         if candidate is None:
             return
         job = candidate.job
-        if not self.upload.cancel(job):
-            return
         st = self._states[job.key]
+        if not self.sites[st.site].upload.cancel(job):
+            return
         st.record.placement = Placement.IC
         st.record.rescheduled = True
         st.est_completion = candidate.est_completion

@@ -32,7 +32,7 @@ from repro.econ import (
     attach_econ,
     promise_for_estimate,
 )
-from repro.core.estimators import EcEstimate
+from repro.core.base import EcEstimate, ECSiteState
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import build_workload, run_one
 from repro.experiments.sweeps import cost_frontier_sweep
@@ -374,10 +374,11 @@ class TestSpotPreemptionInjector:
 class _FixedEstimator:
     """Estimator stub with hand-set finish times."""
 
-    def __init__(self, est_proc_s, ic_completion, ec_completion):
+    def __init__(self, est_proc_s, ic_completion, ec_completion, site=0):
         self._est = est_proc_s
         self._ic = ic_completion
         self._ec = ec_completion
+        self._site = site
 
     def est_proc_time(self, job):
         return self._est
@@ -388,7 +389,7 @@ class _FixedEstimator:
     def ft_ec(self, job, state, est_proc=None):
         return EcEstimate(
             upload_end=10.0, exec_start=10.0,
-            exec_end=self._ec - 5.0, completion=self._ec,
+            exec_end=self._ec - 5.0, completion=self._ec, site=self._site,
         )
 
 
@@ -409,6 +410,17 @@ class TestCostAwareScheduler:
         scheduler = CostAwareScheduler(estimator, cost_model=self._model())
         plan = scheduler.plan([make_job()], make_state())
         assert [d.placement for d in plan.decisions] == [Placement.EC]
+
+    def test_prices_the_invoice_at_the_chosen_site(self):
+        # Site 1 runs 1000x slower, so its invoice (~10 USD of instance
+        # time) outweighs the 9 USD penalty the burst would save.
+        state = make_state()
+        state.extra_sites.append(ECSiteState(name="slow", ec_free=[0.0], ec_speed=0.001))
+        for site, placement in ((0, Placement.EC), (1, Placement.IC)):
+            estimator = _FixedEstimator(100.0, 560.0, 150.0, site=site)
+            scheduler = CostAwareScheduler(estimator, cost_model=self._model())
+            plan = scheduler.plan([make_job()], state.clone())
+            assert [d.placement for d in plan.decisions] == [placement]
 
     def test_stays_local_when_both_on_time(self):
         estimator = _FixedEstimator(100.0, 150.0, 120.0)

@@ -159,31 +159,9 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_advance_to_moves_clock(self):
-        sim = Simulator()
-        sim.advance_to(42.0)
-        assert sim.now == 42.0
-
-    def test_advance_past_pending_event_raises(self):
-        sim = Simulator()
-        sim.schedule(5.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.advance_to(10.0)
-
-    def test_advance_backwards_raises(self):
-        sim = Simulator(start_time=10.0)
-        with pytest.raises(SimulationError):
-            sim.advance_to(5.0)
-
 
 class TestIncrementalStepping:
-    """The run_until / peek_next_time API the online broker drives."""
-
-    def test_peek_next_time_matches_peek(self):
-        sim = Simulator()
-        assert sim.peek_next_time() is None
-        sim.schedule(3.0, lambda: None)
-        assert sim.peek_next_time() == 3.0 == sim.peek()
+    """The run_until / peek API the online broker drives."""
 
     def test_run_until_executes_strictly_earlier_events(self):
         sim = Simulator()
@@ -195,7 +173,7 @@ class TestIncrementalStepping:
         assert executed == 2
         assert fired == ["a", "b"]
         assert sim.now == 5.0
-        assert sim.peek_next_time() == 9.0
+        assert sim.peek() == 9.0
 
     def test_arrival_exactly_at_next_event_time_leaves_it_pending(self):
         """Exclusive boundary: an event AT the arrival instant stays queued.
@@ -211,7 +189,7 @@ class TestIncrementalStepping:
         assert executed == 0
         assert fired == []
         assert sim.now == 5.0
-        assert sim.peek_next_time() == 5.0  # still pending
+        assert sim.peek() == 5.0  # still pending
         sim.run()
         assert fired == ["edge"]
 

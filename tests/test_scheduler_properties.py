@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import Placement
+from repro.core.base import ECSiteState
 from repro.core.baselines import RandomBurstScheduler, ThresholdScheduler
 from repro.core.bandwidth_splitting import SizeIntervalSplittingScheduler
 from repro.core.greedy import GreedyScheduler
 from repro.core.ic_only import ICOnlyScheduler
-from repro.core.multi_ec import MultiECGreedyScheduler, MultiECOrderPreservingScheduler
 from repro.core.order_preserving import OrderPreservingScheduler
 from repro.core.ticket_aware import TicketAwareScheduler
 
@@ -28,8 +28,7 @@ def all_schedulers():
         OrderPreservingScheduler(est),
         SizeIntervalSplittingScheduler(est),
         TicketAwareScheduler(est),
-        MultiECGreedyScheduler(est),
-        MultiECOrderPreservingScheduler(est),
+        OrderPreservingScheduler(est, enable_chunking=False),
         RandomBurstScheduler(est, 0.4, seed=3),
         ThresholdScheduler(est),
     ]
@@ -131,3 +130,59 @@ class TestPlanInvariants:
                 d.job.input_mb for d in plan.decisions if d.placement == Placement.EC
             )
             assert state.upload_backlog_mb == pytest.approx(before + bursted_mb)
+
+
+def state_with_random_sites(data):
+    """``random_state`` plus 0-3 extra sites with drawn links and pools."""
+    state = random_state(data)
+    for i in range(data.draw(st.integers(min_value=0, max_value=3))):
+        state.extra_sites.append(
+            ECSiteState(
+                name=f"site-{i + 1}",
+                ec_free=[100.0 + data.draw(st.floats(min_value=0.0, max_value=500.0))],
+                ec_speed=data.draw(st.sampled_from([0.5, 1.0, 1.5])),
+                upload_backlog_mb=data.draw(st.floats(min_value=0.0, max_value=500.0)),
+                est_up_mbps=data.draw(st.sampled_from([1.0, 2.0, 4.0])),
+                est_down_mbps=data.draw(st.sampled_from([1.0, 2.0, 4.0])),
+            )
+        )
+    return state
+
+
+class TestSiteSearchProperties:
+    @given(raw=jobs_strategy(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ft_ec_is_the_earliest_site_lowest_index_first(self, raw, data):
+        est = StubEstimator()
+        state = state_with_random_sites(data)
+        for job in build_jobs(raw):
+            per_site = [
+                est.ft_ec(job, state, site=i) for i in range(len(state.sites))
+            ]
+            assert [e.site for e in per_site] == list(range(len(state.sites)))
+            earliest = min(e.completion for e in per_site)
+            first = next(e for e in per_site if e.completion == earliest)
+            assert est.ft_ec(job, state) == first
+
+    @given(raw=jobs_strategy(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_commits_return_what_they_book(self, raw, data):
+        est = StubEstimator()
+        state = state_with_random_sites(data)
+        for job in build_jobs(raw):
+            est_proc = est.est_proc_time(job)
+            if data.draw(st.booleans()):
+                ec = est.ft_ec(job, state, est_proc)
+                site = state.sites[ec.site]
+                backlog = site.upload_backlog_mb
+                d = state.commit_ec(job, est_proc, ec)
+                assert (d.placement, d.ec_site) == (Placement.EC, ec.site)
+                assert site.upload_backlog_mb == backlog + job.input_mb
+                assert ec.exec_end in site.ec_free
+            else:
+                t_ic = est.ft_ic(job, state, est_proc)
+                d = state.commit_ic(job, est_proc, t_ic)
+                assert (d.placement, d.ec_site) == (Placement.IC, 0)
+                assert t_ic in state.ic_free
+            assert (d.job, d.est_proc_time) == (job, est_proc)
+            assert d.est_completion == state.pending_completions[-1]
